@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace cgc::bench {
@@ -276,8 +277,9 @@ inline WarehouseConfig warehouseFor(const GcOptions &Options,
 inline void banner(const char *Title, const char *PaperRef) {
   std::printf("== %s ==\n", Title);
   std::printf("reproduces: %s\n", PaperRef);
-  std::printf("host note: single-core reproduction host; shapes (who "
-              "wins, ratios), not absolute ms, are the comparison.\n\n");
+  std::printf("host note: %u hardware threads; shapes (who wins, ratios), "
+              "not absolute ms, are the comparison.\n\n",
+              std::thread::hardware_concurrency());
 }
 
 } // namespace cgc::bench

@@ -413,30 +413,12 @@ Compactor::Stats Compactor::evacuate(ThreadRegistry &Registry,
   Result.EvacuatedBytes = CopiedBytes.load(std::memory_order_relaxed);
 
   // 5. Rebuild the area's free space: everything except the objects
-  //    that stayed (pinned or failed) is free now. A mini bitwise sweep
-  //    over the area derives the maximal runs; a live object straddling
-  //    in from before the area keeps its extent. Serial: it is one
-  //    area's worth of bitmap, and the free-list inserts would all
-  //    contend on the same shard anyway.
-  uint8_t *Pos = Lo;
-  if (uint8_t *PrevMarked = Heap.markBits().findPrevSet(Lo)) {
-    uint8_t *PrevEnd = reinterpret_cast<Object *>(PrevMarked)->end();
-    if (PrevEnd > Pos)
-      Pos = PrevEnd;
-  }
-  while (Pos < Hi) {
-    uint8_t *NextLive = Heap.markBits().findNextSet(Pos, Hi);
-    uint8_t *RunEnd = NextLive ? NextLive : Hi;
-    if (RunEnd > Pos) {
-      Heap.allocBits().clearRange(Pos, RunEnd);
-      // Same routing as sweep: small rebuilt runs go to the owning
-      // shard's remote-free queue when the fast path is on.
-      Heap.releaseRange(Pos, static_cast<size_t>(RunEnd - Pos));
-    }
-    if (!NextLive)
-      break;
-    Pos = reinterpret_cast<Object *>(NextLive)->end();
-  }
+  //    that stayed (pinned or failed) is free now. The sweep's own
+  //    dead-run walker derives the maximal runs (a live object
+  //    straddling in from before the area keeps its extent) and returns
+  //    them in batches with the same remote-free routing. No exclusion
+  //    window: the area is exactly what the sweeps left to this rebuild.
+  Sweeper::sweepRange(Heap, Lo, Hi);
 
   // 5b. A moved straddler's tail [Hi, old end) was live when the
   //     outside sweep passed it, so nobody else returns it. Add the

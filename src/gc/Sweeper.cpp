@@ -5,6 +5,7 @@
 #include "gc/WorkerPool.h"
 #include "observe/Observe.h"
 
+#include <array>
 #include <cassert>
 
 using namespace cgc;
@@ -14,70 +15,102 @@ using namespace cgc;
 /// scan); they are reclaimed once a neighbouring object dies.
 static constexpr size_t MinFreeRangeBytes = 64;
 
+/// How many live objects ahead of the mark-bit walk the header prefetch
+/// runs: far enough to cover a cache miss, near enough that the lines
+/// are still cached when the walk reads them.
+static constexpr unsigned PrefetchDistance = 8;
+
 Sweeper::Sweeper(HeapSpace &Heap, GcObserver *Obs)
     : Heap(Heap),
       NumChunks((Heap.sizeBytes() + ChunkBytes - 1) / ChunkBytes), Obs(Obs) {}
 
-uint8_t *Sweeper::chunkSweepStart(size_t Index) const {
-  uint8_t *ChunkStart = Heap.base() + Index * ChunkBytes;
-  if (Index == 0)
-    return ChunkStart;
-  uint8_t *PrevMarked = Heap.markBits().findPrevSet(ChunkStart);
-  if (!PrevMarked)
-    return ChunkStart;
-  Object *Prev = reinterpret_cast<Object *>(PrevMarked);
-  uint8_t *PrevEnd = Prev->end();
-  return PrevEnd > ChunkStart ? PrevEnd : ChunkStart;
-}
+Sweeper::SweepResult Sweeper::sweepRange(HeapSpace &Heap, uint8_t *From,
+                                         uint8_t *To, uint8_t *XLo,
+                                         uint8_t *XHi) {
+  SweepResult Result;
+  const BitVector8 &Marks = Heap.markBits();
+  // Leading edge: a live object spanning in across From keeps its extent
+  // (the walk over the range before From accounted for it).
+  uint8_t *Pos = From;
+  if (uint8_t *PrevMarked = Marks.findPrevSet(From)) {
+    uint8_t *PrevEnd = reinterpret_cast<Object *>(PrevMarked)->end();
+    if (PrevEnd > Pos)
+      Pos = PrevEnd;
+  }
+  if (Pos >= To)
+    return Result;
 
-Sweeper::ChunkResult Sweeper::sweepChunk(size_t Index) {
-  ChunkResult Result;
-  uint8_t *ChunkEnd = Heap.base() + (Index + 1) * ChunkBytes;
-  if (ChunkEnd > Heap.limit())
-    ChunkEnd = Heap.limit();
-  uint8_t *Pos = chunkSweepStart(Index);
-
-  auto reclaimRaw = [&](uint8_t *From, uint8_t *To) {
-    if (From >= To)
+  std::array<FreeRange, ReleaseBatchCap> Batch;
+  size_t Batched = 0;
+  auto flush = [&] {
+    Heap.releaseRanges({Batch.data(), Batched});
+    Batched = 0;
+  };
+  auto reclaimRaw = [&](uint8_t *RunFrom, uint8_t *RunTo) {
+    if (RunFrom >= RunTo)
       return;
-    Heap.allocBits().clearRange(From, To);
-    size_t Size = static_cast<size_t>(To - From);
+    Heap.allocBits().clearRange(RunFrom, RunTo);
+    size_t Size = static_cast<size_t>(RunTo - RunFrom);
     if (Size >= MinFreeRangeBytes) {
-      // Routed to the shard owning the addresses: small runs go to its
-      // lock-free remote-free queue when the fast path is on, larger
-      // (or straddling) runs split across the shards' locked lists.
-      Heap.releaseRange(From, Size);
+      Batch[Batched++] = {RunFrom, Size};
       Result.FreedBytes += Size;
+      if (Batched == Batch.size())
+        flush();
     }
   };
+  auto reclaim = [&](uint8_t *RunFrom, uint8_t *RunTo) {
+    if (XLo < XHi && RunFrom < XHi && RunTo > XLo) {
+      reclaimRaw(RunFrom, XLo < RunFrom ? RunFrom : XLo);
+      reclaimRaw(XHi > RunTo ? RunTo : XHi, RunTo);
+      return;
+    }
+    reclaimRaw(RunFrom, RunTo);
+  };
+
+  // Every set bit ahead of the walk is the header of a live object it
+  // will visit (live objects do not overlap), so a second cursor over
+  // the same words runs PrefetchDistance headers ahead and prefetches
+  // them; the header read is then the walk's only per-object miss.
+  size_t EndIndex = Marks.boundIndex(To);
+  size_t Ahead = Marks.boundIndex(Pos);
+  auto prefetchNext = [&] {
+    Ahead = Marks.findNextSetIndex(Ahead, EndIndex);
+    if (Ahead < EndIndex)
+      __builtin_prefetch(Marks.granuleAddress(Ahead++));
+  };
+  for (unsigned I = 0; I < PrefetchDistance; ++I)
+    prefetchNext();
+
+  while (Pos < To) {
+    size_t Next = Marks.findNextSetIndex(Marks.boundIndex(Pos), EndIndex);
+    if (Next == EndIndex) {
+      reclaim(Pos, To);
+      break;
+    }
+    uint8_t *NextMarked = Marks.granuleAddress(Next);
+    reclaim(Pos, NextMarked);
+    prefetchNext();
+    Object *Live = reinterpret_cast<Object *>(NextMarked);
+    Result.LiveBytes += Live->sizeBytes();
+    Pos = Live->end(); // May extend past To; the next range's
+                       // leading-edge resolution accounts for it.
+  }
+  flush();
+  return Result;
+}
+
+Sweeper::SweepResult Sweeper::sweepChunk(size_t Index) {
+  uint8_t *ChunkStart = Heap.base() + Index * ChunkBytes;
+  uint8_t *ChunkEnd = ChunkStart + ChunkBytes;
+  if (ChunkEnd > Heap.limit())
+    ChunkEnd = Heap.limit();
   // The compactor's armed area is excluded for the whole generation:
   // its bits and free ranges are rebuilt by the evacuation itself, and
   // re-inserting them here could hand out in-area evacuation targets or
   // double-add the rebuilt ranges (see setEvacuationExclusion).
-  uint8_t *XLo = ExclLo.load(std::memory_order_relaxed);
-  uint8_t *XHi = ExclHi.load(std::memory_order_relaxed);
-  auto reclaim = [&](uint8_t *From, uint8_t *To) {
-    if (XLo < XHi && From < XHi && To > XLo) {
-      reclaimRaw(From, XLo < From ? From : XLo);
-      reclaimRaw(XHi > To ? To : XHi, To);
-      return;
-    }
-    reclaimRaw(From, To);
-  };
-
-  while (Pos < ChunkEnd) {
-    uint8_t *NextMarked = Heap.markBits().findNextSet(Pos, ChunkEnd);
-    if (!NextMarked) {
-      reclaim(Pos, ChunkEnd);
-      break;
-    }
-    reclaim(Pos, NextMarked);
-    Object *Live = reinterpret_cast<Object *>(NextMarked);
-    Result.LiveBytes += Live->sizeBytes();
-    Pos = Live->end(); // May extend past ChunkEnd; the next chunk's
-                       // leading-edge resolution accounts for it.
-  }
-  return Result;
+  return sweepRange(Heap, ChunkStart, ChunkEnd,
+                    ExclLo.load(std::memory_order_relaxed),
+                    ExclHi.load(std::memory_order_relaxed));
 }
 
 uint64_t Sweeper::sweepAll(WorkerPool *Workers) {
@@ -123,7 +156,7 @@ uint64_t Sweeper::sweepUntilFree(size_t FreeBytesWanted) {
       LazyActive.store(false, std::memory_order_release);
       break;
     }
-    ChunkResult R = sweepChunk(Index);
+    SweepResult R = sweepChunk(Index);
     Freed += R.FreedBytes;
     Live += R.LiveBytes;
     if (Freed >= FreeBytesWanted)

@@ -6,12 +6,16 @@
 /// ranges of unmarked memory in the mark bit vector. The heap is divided
 /// into fixed chunks claimed by workers through an atomic cursor; a
 /// sweeping thread resolves objects spanning its chunk's leading edge by
-/// scanning the mark bits backwards. Reclaimed ranges are inserted into
-/// the free-list shard owning their addresses (split at shard
-/// boundaries), so N sweep workers contend only when their chunks map
-/// to the same shard; within a shard, free ranges still coalesce across
-/// chunk boundaries in the address-ordered large map. Allocation bits
-/// of reclaimed ranges are cleared so conservative scanning cannot
+/// scanning the mark bits backwards. The walk reads the mark bits a word
+/// at a time and touches memory only at live headers, which it
+/// prefetches a few objects ahead. Reclaimed runs are collected in a
+/// per-chunk batch and inserted into the free-list shards owning their
+/// addresses (split at shard boundaries) with one lock acquisition per
+/// shard per batch, so sweep workers whose chunks map to the same shard
+/// no longer meet on its lock once per dead run; within a shard, free
+/// ranges still coalesce across chunk boundaries in the address-ordered
+/// large map. Allocation bits of reclaimed ranges are cleared, before
+/// the runs reach the free list, so conservative scanning cannot
 /// resurrect dead memory.
 ///
 /// Lazy sweep (the paper's future work, Section 7): the sweep is taken
@@ -40,6 +44,30 @@ class Sweeper {
 public:
   /// Heap bytes swept as one unit.
   static constexpr size_t ChunkBytes = 1u << 20;
+
+  /// Reclaimed runs collected before one batched free-list insert. The
+  /// cap bounds how long a lazily sweeping mutator holds a shard lock
+  /// while other mutators wait on it to refill.
+  static constexpr size_t ReleaseBatchCap = 256;
+
+  /// Bytes reclaimed and live bytes found by one walk.
+  struct SweepResult {
+    uint64_t FreedBytes = 0;
+    uint64_t LiveBytes = 0;
+  };
+
+  /// The dead-run walker every sweep shares (eager, lazy, and the
+  /// compactor's area rebuild). Derives the free runs of [From, To) from
+  /// the mark bits, starting past any live object spanning in across
+  /// From and letting the last live object run past To. Each run gets
+  /// its allocation bits cleared; runs of at least 64 bytes are returned
+  /// through HeapSpace::releaseRanges in batches of ReleaseBatchCap. The
+  /// parts of runs inside [XLo, XHi) are left untouched (see
+  /// setEvacuationExclusion). Not thread-safe against concurrent walks
+  /// of the same range.
+  static SweepResult sweepRange(HeapSpace &Heap, uint8_t *From, uint8_t *To,
+                                uint8_t *XLo = nullptr,
+                                uint8_t *XHi = nullptr);
 
   /// \p Obs (optional) receives a SweepSlice event per lazy-sweep call
   /// that reclaims memory.
@@ -101,17 +129,9 @@ public:
   }
 
 private:
-  /// Sweeps chunk \p Index; adds free ranges to the free list; returns
-  /// {freed bytes, live bytes}.
-  struct ChunkResult {
-    uint64_t FreedBytes = 0;
-    uint64_t LiveBytes = 0;
-  };
-  ChunkResult sweepChunk(size_t Index);
-
-  /// First position in chunk \p Index not covered by a live object
-  /// spanning in from an earlier chunk.
-  uint8_t *chunkSweepStart(size_t Index) const;
+  /// Sweeps chunk \p Index through sweepRange, outside the evacuation
+  /// exclusion window.
+  SweepResult sweepChunk(size_t Index);
 
   HeapSpace &Heap;
   size_t NumChunks;

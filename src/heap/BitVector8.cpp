@@ -27,30 +27,37 @@ void BitVector8::clearRange(const void *From, const void *To) {
   // To is exclusive; the last granule cleared starts at To - GranuleBytes.
   size_t Last = granuleIndex(static_cast<const uint8_t *>(To) - GranuleBytes);
   size_t FirstWord = First >> 6, LastWord = Last >> 6;
+  uint64_t HeadMask = ~0ull << (First & 63);
+  uint64_t TailMask = ~0ull >> (63 - (Last & 63));
   if (FirstWord == LastWord) {
-    uint64_t Mask = 0;
-    for (size_t B = First & 63; B <= (Last & 63); ++B)
-      Mask |= 1ull << B;
-    Words[FirstWord].fetch_and(~Mask, std::memory_order_relaxed);
+    Words[FirstWord].fetch_and(~(HeadMask & TailMask),
+                               std::memory_order_relaxed);
     return;
   }
-  uint64_t HeadMask = ~0ull << (First & 63);
   Words[FirstWord].fetch_and(~HeadMask, std::memory_order_relaxed);
   for (size_t W = FirstWord + 1; W < LastWord; ++W)
     Words[W].store(0, std::memory_order_relaxed);
-  uint64_t TailMask = (Last & 63) == 63 ? ~0ull
-                                        : ((1ull << ((Last & 63) + 1)) - 1);
   Words[LastWord].fetch_and(~TailMask, std::memory_order_relaxed);
 }
 
 size_t BitVector8::countInRange(const void *From, const void *To) const {
-  size_t Count = 0;
-  const uint8_t *Cur = static_cast<const uint8_t *>(From);
-  forEachSetInRange(Cur, To, [&Count](uint8_t *) {
-    ++Count;
-    return true;
-  });
-  return Count;
+  if (From >= To)
+    return 0;
+  size_t First = granuleIndex(From);
+  size_t Last = granuleIndex(static_cast<const uint8_t *>(To) - GranuleBytes);
+  size_t FirstWord = First >> 6, LastWord = Last >> 6;
+  uint64_t HeadMask = ~0ull << (First & 63);
+  uint64_t TailMask = ~0ull >> (63 - (Last & 63));
+  uint64_t Bits = Words[FirstWord].load(std::memory_order_relaxed) & HeadMask;
+  if (FirstWord == LastWord)
+    return static_cast<size_t>(std::popcount(Bits & TailMask));
+  size_t Count = static_cast<size_t>(std::popcount(Bits));
+  for (size_t W = FirstWord + 1; W < LastWord; ++W)
+    Count += static_cast<size_t>(
+        std::popcount(Words[W].load(std::memory_order_relaxed)));
+  return Count + static_cast<size_t>(std::popcount(
+                     Words[LastWord].load(std::memory_order_relaxed) &
+                     TailMask));
 }
 
 uint8_t *BitVector8::findPrevSet(const void *Before) const {
@@ -72,31 +79,6 @@ uint8_t *BitVector8::findPrevSet(const void *Before) const {
     if (Word == 0)
       return nullptr;
     --Word;
-    Bits = Words[Word].load(std::memory_order_relaxed);
-  }
-}
-
-uint8_t *BitVector8::findNextSet(const void *From, const void *To) const {
-  const uint8_t *FromP = static_cast<const uint8_t *>(From);
-  const uint8_t *ToP = static_cast<const uint8_t *>(To);
-  if (FromP >= ToP)
-    return nullptr;
-  size_t First = granuleIndex(FromP);
-  size_t End = granuleIndex(ToP - GranuleBytes) + 1;
-  size_t Word = First >> 6;
-  uint64_t Bits = Words[Word].load(std::memory_order_relaxed);
-  Bits &= ~0ull << (First & 63);
-  for (;;) {
-    if (Bits) {
-      size_t Index = (Word << 6) +
-                     static_cast<size_t>(std::countr_zero(Bits));
-      if (Index >= End)
-        return nullptr;
-      return const_cast<uint8_t *>(Base) + Index * GranuleBytes;
-    }
-    ++Word;
-    if ((Word << 6) >= End)
-      return nullptr;
     Bits = Words[Word].load(std::memory_order_relaxed);
   }
 }

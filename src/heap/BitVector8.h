@@ -14,6 +14,7 @@
 #include "heap/ObjectModel.h"
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -89,7 +90,55 @@ public:
 
   /// Address of the first set bit at or after \p From and before \p To,
   /// or nullptr when none.
-  uint8_t *findNextSet(const void *From, const void *To) const;
+  uint8_t *findNextSet(const void *From, const void *To) const {
+    const uint8_t *FromP = static_cast<const uint8_t *>(From);
+    const uint8_t *ToP = static_cast<const uint8_t *>(To);
+    if (FromP >= ToP)
+      return nullptr;
+    size_t End = granuleIndex(ToP - GranuleBytes) + 1;
+    size_t Index = findNextSetIndex(granuleIndex(FromP), End);
+    return Index == End ? nullptr : granuleAddress(Index);
+  }
+
+  /// Granule index of the first set bit in [\p First, \p End), or \p End
+  /// when none. Word at a time: the sweeper's mark-bit walk calls this
+  /// once per live object, so it stays inline.
+  size_t findNextSetIndex(size_t First, size_t End) const {
+    assert(First <= End && "inverted granule range");
+    assert(End <= NumGranules && "granule index above bitmap range");
+    if (First >= End)
+      return End;
+    size_t Word = First >> 6;
+    uint64_t Bits = Words[Word].load(std::memory_order_relaxed) &
+                    (~0ull << (First & 63));
+    for (;;) {
+      if (Bits) {
+        size_t Index =
+            (Word << 6) + static_cast<size_t>(std::countr_zero(Bits));
+        return Index < End ? Index : End;
+      }
+      if ((++Word << 6) >= End)
+        return End;
+      Bits = Words[Word].load(std::memory_order_relaxed);
+    }
+  }
+
+  /// Granule index of \p Addr, which may also be one past the covered
+  /// range (an exclusive bound).
+  size_t boundIndex(const void *Addr) const {
+    const uint8_t *P = static_cast<const uint8_t *>(Addr);
+    assert(P >= Base && "address below bitmap range");
+    size_t Offset = static_cast<size_t>(P - Base);
+    assert(Offset / GranuleBytes <= NumGranules &&
+           "address above bitmap range");
+    assert(Offset % GranuleBytes == 0 && "address not granule aligned");
+    return Offset / GranuleBytes;
+  }
+
+  /// Address of granule \p Index.
+  uint8_t *granuleAddress(size_t Index) const {
+    return const_cast<uint8_t *>(Base) + Index * GranuleBytes;
+  }
 
   /// Address of the last set bit strictly before \p Before (and at or
   /// after the bitmap base), or nullptr when none. Used by the parallel
@@ -130,13 +179,9 @@ private:
   }
 
   size_t granuleIndex(const void *Addr) const {
-    const uint8_t *P = static_cast<const uint8_t *>(Addr);
-    assert(P >= Base && "address below bitmap range");
-    size_t Offset = static_cast<size_t>(P - Base);
-    assert(Offset / GranuleBytes < NumGranules &&
-           "address above bitmap range");
-    assert(Offset % GranuleBytes == 0 && "address not granule aligned");
-    return Offset / GranuleBytes;
+    size_t Index = boundIndex(Addr);
+    assert(Index < NumGranules && "address above bitmap range");
+    return Index;
   }
 
   const uint8_t *Base;

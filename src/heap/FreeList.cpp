@@ -27,15 +27,34 @@ void FreeList::eraseLargeLocked(std::map<uint8_t *, size_t>::iterator It) {
   Large.erase(It);
 }
 
-void FreeList::addRange(uint8_t *Start, size_t Size) {
-  // Below the bin granularity the range is not worth tracking (no
-  // object fits anyway); the next sweep reclaims it from the bitmap.
-  if (Size < BinGranuleBytes)
+/// The part of \p Range inside [Lo, Hi); empty when they do not meet.
+static FreeRange clipRange(FreeRange Range, uint8_t *Lo, uint8_t *Hi) {
+  uint8_t *Start = std::max(Range.first, Lo);
+  uint8_t *End = std::min(Range.first + Range.second, Hi);
+  return {Start, End > Start ? static_cast<size_t>(End - Start) : 0};
+}
+
+void FreeList::addRanges(std::span<const FreeRange> Ranges, uint8_t *Lo,
+                         uint8_t *Hi) {
+  // Below the bin granularity a range is not worth tracking (no object
+  // fits anyway); the next sweep reclaims it from the bitmap. A batch of
+  // nothing but such crumbs does not take the lock at all.
+  auto Trackable = [Lo, Hi](const FreeRange &Range) {
+    return clipRange(Range, Lo, Hi).second >= BinGranuleBytes;
+  };
+  if (std::none_of(Ranges.begin(), Ranges.end(), Trackable))
     return;
   SpinLockGuard Guard(Lock);
   LockAcquisitions.fetch_add(1, std::memory_order_relaxed);
-  FreeByteCount.fetch_add(Size, std::memory_order_relaxed);
+  for (const FreeRange &Range : Ranges) {
+    auto [Start, Size] = clipRange(Range, Lo, Hi);
+    if (Size >= BinGranuleBytes)
+      insertLocked(Start, Size);
+  }
+}
 
+void FreeList::insertLocked(uint8_t *Start, size_t Size) {
+  FreeByteCount.fetch_add(Size, std::memory_order_relaxed);
   if (Size < BinThresholdBytes) {
     Bins[binIndex(Size)].emplace_back(Start, static_cast<uint32_t>(Size));
     ++SmallRangeCount;
@@ -189,7 +208,7 @@ size_t FreeList::withdrawWithin(uint8_t *Lo, uint8_t *Hi) {
   size_t Withdrawn = 0;
   {
     SpinLockGuard Guard(Lock);
-  LockAcquisitions.fetch_add(1, std::memory_order_relaxed);
+    LockAcquisitions.fetch_add(1, std::memory_order_relaxed);
     // Large ranges: the first candidate may straddle Lo from below.
     auto It = Large.lower_bound(Lo);
     if (It != Large.begin() && std::prev(It)->first + std::prev(It)->second > Lo)
@@ -228,8 +247,7 @@ size_t FreeList::withdrawWithin(uint8_t *Lo, uint8_t *Hi) {
       }
     }
   }
-  for (auto [Start, Size] : Outside)
-    addRange(Start, Size);
+  addRanges(Outside);
   return Withdrawn;
 }
 

@@ -37,10 +37,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
 namespace cgc {
+
+/// A free range: (start, size in bytes).
+using FreeRange = std::pair<uint8_t *, size_t>;
 
 /// Aggregate shape of the free space inside an address window; the
 /// compactor's area-selection policy scores candidate areas from these
@@ -81,9 +85,20 @@ public:
   explicit FreeList(size_t RefillThresholdBytes = 0)
       : RefillThreshold(RefillThresholdBytes) {}
 
-  /// Inserts [Start, Start + Size). Large ranges merge with adjacent
-  /// large ranges; small ranges are binned unmerged.
-  void addRange(uint8_t *Start, size_t Size);
+  /// Inserts the part of every range in \p Ranges that lies inside
+  /// [\p Lo, \p Hi) (by default all of it) under one lock acquisition.
+  /// Large ranges merge with adjacent large ranges; small ranges are
+  /// binned unmerged; parts under BinGranuleBytes are dropped. Batching
+  /// is what keeps parallel sweep workers, whose neighbouring chunks map
+  /// to the same shard, from taking the lock once per dead run.
+  void addRanges(std::span<const FreeRange> Ranges, uint8_t *Lo = nullptr,
+                 uint8_t *Hi = reinterpret_cast<uint8_t *>(UINTPTR_MAX));
+
+  /// Inserts [Start, Start + Size): the one-range case of addRanges.
+  void addRange(uint8_t *Start, size_t Size) {
+    FreeRange Range(Start, Size);
+    addRanges({&Range, 1});
+  }
 
   /// Allocates exactly \p Size bytes (best fit; the remainder of the
   /// chosen range stays free). Returns nullptr when no range fits.
@@ -164,6 +179,8 @@ private:
   void eraseLargeLocked(std::map<uint8_t *, size_t>::iterator It)
       CGC_REQUIRES(Lock);
   void insertLargeLocked(uint8_t *Start, size_t Size) CGC_REQUIRES(Lock);
+  /// Tracks one range of at least BinGranuleBytes (bin or large map).
+  void insertLocked(uint8_t *Start, size_t Size) CGC_REQUIRES(Lock);
   uint8_t *takeLocked(uint8_t *Start, size_t RangeSize, size_t Take)
       CGC_REQUIRES(Lock);
 

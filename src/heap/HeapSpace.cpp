@@ -30,6 +30,27 @@ HeapSpace::HeapSpace(size_t SizeBytes, unsigned FreeListShards,
 
 HeapSpace::~HeapSpace() { std::free(Base); }
 
+void HeapSpace::releaseRanges(std::span<FreeRange> Ranges) {
+  if (RouteRemoteFreesV) {
+    // Push the routable runs and compact the rest to the front.
+    size_t Kept = 0;
+    for (const FreeRange &Range : Ranges) {
+      auto [Start, Bytes] = Range;
+      if (Bytes >= RemoteFreeQueue::MinChunkBytes &&
+          Bytes < FreeList::BinThresholdBytes) {
+        size_t Shard = FreeListV.shardIndexFor(Start);
+        if (FreeListV.shardIndexFor(Start + Bytes - 1) == Shard) {
+          RemoteQueuesV[Shard]->push(Start, Bytes);
+          continue;
+        }
+      }
+      Ranges[Kept++] = Range;
+    }
+    Ranges = Ranges.first(Kept);
+  }
+  FreeListV.addRanges(Ranges);
+}
+
 size_t HeapSpace::drainRemoteQueue(size_t Shard) {
   size_t Moved = 0;
   RemoteFreeChunk *Chunk = RemoteQueuesV[Shard]->takeAll();

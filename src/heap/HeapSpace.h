@@ -20,6 +20,7 @@
 #include "heap/ShardedFreeList.h"
 
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace cgc {
@@ -35,9 +36,9 @@ public:
   /// \p RefillThresholdBytes is forwarded to the free-space manager's
   /// refillable-bytes accounting (0 = refillable == free).
   /// \p RouteRemoteFrees enables the fast path's ownership return:
-  /// releaseRange() parks small reclaimed runs on the owning shard's
+  /// releaseRanges() parks small reclaimed runs on the owning shard's
   /// lock-free remote-free queue instead of the shared bins
-  /// (DESIGN.md §16); off, releaseRange() is plain addRange().
+  /// (DESIGN.md §16); off, releaseRanges() is plain addRanges().
   explicit HeapSpace(size_t SizeBytes, unsigned FreeListShards = 1,
                      FaultInjector *FI = nullptr,
                      size_t RefillThresholdBytes = 0,
@@ -107,7 +108,7 @@ public:
 
   /// --- Remote-free ownership return (DESIGN.md §16) -------------------
 
-  /// Whether releaseRange() routes small runs to the remote queues.
+  /// Whether releaseRanges() routes small runs to the remote queues.
   bool remoteRoutingEnabled() const { return RouteRemoteFreesV; }
 
   /// The queue collecting remote frees for shard \p Shard.
@@ -121,23 +122,20 @@ public:
     return Sum;
   }
 
-  /// Returns reclaimed memory [Start, Start + Size) to the free-space
-  /// manager. With routing enabled, runs small enough for the
-  /// segregated bins that sit wholly inside one shard are pushed onto
-  /// that shard's remote-free queue (lock-free; drained by the shard's
-  /// preferred mutator's next class refill); everything else takes the
-  /// classic locked addRange path. Sweep and compaction call this for
-  /// every reclaimed run.
+  /// Returns reclaimed memory to the free-space manager. With routing
+  /// enabled, runs small enough for the segregated bins that sit wholly
+  /// inside one shard are pushed onto that shard's remote-free queue
+  /// (lock-free; drained by the shard's preferred mutator's next class
+  /// refill); everything else is batched into the locked shard lists,
+  /// one lock acquisition per shard group (ShardedFreeList::addRanges).
+  /// Sweep and compaction call this with each chunk's reclaimed runs.
+  /// \p Ranges is scratch: its contents are clobbered.
+  void releaseRanges(std::span<FreeRange> Ranges);
+
+  /// Returns [Start, Start + Size): the one-range case of releaseRanges.
   void releaseRange(uint8_t *Start, size_t Size) {
-    if (RouteRemoteFreesV && Size >= RemoteFreeQueue::MinChunkBytes &&
-        Size < FreeList::BinThresholdBytes) {
-      size_t Shard = FreeListV.shardIndexFor(Start);
-      if (FreeListV.shardIndexFor(Start + Size - 1) == Shard) {
-        RemoteQueuesV[Shard]->push(Start, Size);
-        return;
-      }
-    }
-    FreeListV.addRange(Start, Size);
+    FreeRange Range(Start, Size);
+    releaseRanges({&Range, 1});
   }
 
   /// Drains shard \p Shard's remote queue onto its free list (ladder

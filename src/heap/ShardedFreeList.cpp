@@ -39,16 +39,36 @@ ShardedFreeList::ShardedFreeList(uint8_t *Base, size_t SizeBytes,
     Shards.push_back(std::make_unique<FreeList>(RefillThresholdBytes));
 }
 
-void ShardedFreeList::addRange(uint8_t *Start, size_t Bytes) {
-  while (Bytes > 0) {
-    size_t Index = shardIndexFor(Start);
-    uint8_t *End = shardEnd(Index);
-    size_t Piece = static_cast<size_t>(End - Start);
-    if (Piece > Bytes)
-      Piece = Bytes;
-    Shards[Index]->addRange(Start, Piece);
-    Start += Piece;
-    Bytes -= Piece;
+void ShardedFreeList::addRanges(std::span<const FreeRange> Ranges) {
+  auto EndOf = [&Ranges](size_t K) {
+    return Ranges[K].first + Ranges[K].second;
+  };
+  size_t I = 0;
+  // First byte of Ranges[I] not yet inserted (past Ranges[I]'s start
+  // when it straddles in from the previous group's shard).
+  uint8_t *From = Ranges.empty() ? nullptr : Ranges[0].first;
+  while (I < Ranges.size()) {
+    size_t Index = shardIndexFor(From);
+    uint8_t *Lo = shardStart(Index), *Hi = shardEnd(Index);
+    // Grow the group while the last member stays inside the shard and
+    // the next one starts inside it.
+    size_t J = I + 1;
+    while (J < Ranges.size() && EndOf(J - 1) <= Hi && Ranges[J].first >= Lo &&
+           Ranges[J].first < Hi)
+      ++J;
+    Shards[Index]->addRanges(Ranges.subspan(I, J - I), Lo, Hi);
+    if (EndOf(J - 1) > Hi) {
+      assert(Index + 1 < Shards.size() && "free range beyond the heap");
+      // The last member runs on into the next shard: it heads the next
+      // group, clipped to that shard.
+      I = J - 1;
+      From = Hi;
+    } else if (J < Ranges.size()) {
+      I = J;
+      From = Ranges[J].first;
+    } else {
+      break;
+    }
   }
 }
 

@@ -83,10 +83,18 @@ public:
   FreeList &shard(size_t I) { return *Shards[I]; }
   const FreeList &shard(size_t I) const { return *Shards[I]; }
 
-  /// Inserts [Start, Start + Size), split at shard boundaries so each
-  /// piece lands in the shard owning its addresses. Only the owning
-  /// shard's lock is taken per piece.
-  void addRange(uint8_t *Start, size_t Size);
+  /// Inserts every range of \p Ranges, split at shard boundaries so each
+  /// piece lands in the shard owning its addresses. Consecutive ranges
+  /// owned by one shard go in under one acquisition of its lock (a range
+  /// straddling into the next shard ends its group and starts the next
+  /// one), so an address-ordered batch takes each shard's lock once.
+  void addRanges(std::span<const FreeRange> Ranges);
+
+  /// Inserts [Start, Start + Size): the one-range case of addRanges.
+  void addRange(uint8_t *Start, size_t Size) {
+    FreeRange Range(Start, Size);
+    addRanges({&Range, 1});
+  }
 
   /// Allocates exactly \p Size bytes, trying \p PreferredShard first
   /// and then stealing from the other shards in ring order.
@@ -142,6 +150,9 @@ public:
   std::vector<std::pair<uint8_t *, size_t>> snapshotRanges() const;
 
 private:
+  /// First byte shard \p Index owns.
+  uint8_t *shardStart(size_t Index) const { return Base + Index * ShardSpan; }
+
   /// One past the last byte shard \p Index owns.
   uint8_t *shardEnd(size_t Index) const {
     size_t End = (Index + 1) * ShardSpan;

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace cgc;
@@ -112,6 +113,66 @@ TEST_F(BitVectorTest, CountInRange) {
   EXPECT_EQ(Bits->countInRange(addr(0), addr(200)), 3u);
   EXPECT_EQ(Bits->countInRange(addr(2), addr(130)), 1u);
   EXPECT_EQ(Bits->countInRange(addr(2), addr(131)), 2u);
+}
+
+/// [From, To) granule ranges covering the word-shape cases of the
+/// masked range operations: single granules at both word edges, ranges
+/// ending exactly on or one past a word boundary, full words, ranges
+/// spanning several words, and the last word of the bitmap.
+constexpr std::pair<size_t, size_t> WordShapeRanges[] = {
+    {0, 1},     {63, 64},   {64, 65},    {5, 6},      {1, 63},
+    {0, 64},    {64, 128},  {63, 65},    {62, 130},   {0, 128},
+    {127, 129}, {10, 200},  {64, 320},   {8191, 8192}, {8128, 8192},
+    {0, 8192}};
+
+TEST_F(BitVectorTest, ClearRangeWordShapes) {
+  const size_t Granules = HeapBytes / GranuleBytes;
+  for (auto [From, To] : WordShapeRanges) {
+    for (size_t I = 0; I < Granules; ++I)
+      Bits->set(addr(I));
+    Bits->clearRange(addr(From), addr(To));
+    for (size_t I = 0; I < Granules; ++I)
+      ASSERT_EQ(Bits->test(addr(I)), I < From || I >= To)
+          << "granule " << I << " after clearing [" << From << ", " << To
+          << ")";
+  }
+}
+
+TEST_F(BitVectorTest, CountInRangeWordShapes) {
+  const size_t Granules = HeapBytes / GranuleBytes;
+  // Dense (every bit) and sparse (every third bit) patterns: counts must
+  // match a bit-by-bit model, so a mask off by one at either edge shows.
+  for (size_t Stride : {size_t{1}, size_t{3}}) {
+    Bits->clearAll();
+    for (size_t I = 0; I < Granules; I += Stride)
+      Bits->set(addr(I));
+    for (auto [From, To] : WordShapeRanges) {
+      size_t Expected = 0;
+      for (size_t I = From; I < To; ++I)
+        Expected += I % Stride == 0;
+      EXPECT_EQ(Bits->countInRange(addr(From), addr(To)), Expected)
+          << "[" << From << ", " << To << ") stride " << Stride;
+    }
+    EXPECT_EQ(Bits->countInRange(addr(7), addr(7)), 0u);
+  }
+}
+
+TEST_F(BitVectorTest, FindNextSetIndexStopsAtEnd) {
+  const size_t Granules = HeapBytes / GranuleBytes;
+  EXPECT_EQ(Bits->findNextSetIndex(0, Granules), Granules);
+  Bits->set(addr(70));
+  EXPECT_EQ(Bits->findNextSetIndex(0, Granules), 70u);
+  EXPECT_EQ(Bits->findNextSetIndex(70, 71), 70u);
+  // A set bit in the same word but at or past End is not found.
+  EXPECT_EQ(Bits->findNextSetIndex(64, 70), 70u);
+  EXPECT_EQ(Bits->findNextSetIndex(64, 66), 66u);
+  EXPECT_EQ(Bits->findNextSet(addr(0), addr(66)), nullptr);
+  EXPECT_EQ(Bits->findNextSetIndex(71, 128), 128u);
+  EXPECT_EQ(Bits->findNextSetIndex(70, 70), 70u);
+  Bits->set(addr(Granules - 1));
+  EXPECT_EQ(Bits->findNextSetIndex(71, Granules), Granules - 1);
+  EXPECT_EQ(Bits->boundIndex(addr(Granules)), Granules);
+  EXPECT_EQ(Bits->granuleAddress(70), addr(70));
 }
 
 TEST_F(BitVectorTest, ForEachSetInRangeOrderAndEarlyStop) {

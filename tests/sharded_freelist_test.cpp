@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <memory>
 #include <thread>
+#include <vector>
 
 using namespace cgc;
 
@@ -92,6 +93,32 @@ TEST_F(ShardedFreeListTest, StraddlingRangeLandsInBothOwners) {
   EXPECT_EQ(List.shard(0).freeBytes(), 8192u);
   EXPECT_EQ(List.shard(1).freeBytes(), 8192u);
   expectNoBoundaryCrossing(List);
+}
+
+TEST_F(ShardedFreeListTest, BatchedInsertMatchesOneByOne) {
+  // An unordered batch with straddlers (one across four shards, one
+  // whose head in the lower shard is a crumb) and a crumb of its own
+  // lands exactly as range-by-range inserts do.
+  ShardedFreeList Batched(at(0), RegionBytes, 8);
+  ShardedFreeList OneByOne(at(0), RegionBytes, 8);
+  size_t Span = Batched.shardSpanBytes();
+  const std::vector<FreeRange> Ranges = {
+      {at(3 * Span - 4096), 2 * Span + 8192},
+      {at(100), 512},
+      {at(Span - 100), 200},
+      {at(64u << 10), 8192},
+      {at(Span + 4096), 32},
+      {at(7 * Span - 40), 4096},
+      {at(6 * Span + 8192), 100000},
+  };
+  for (auto [Start, Size] : Ranges)
+    OneByOne.addRange(Start, Size);
+  Batched.addRanges(Ranges);
+  EXPECT_EQ(Batched.snapshotRanges(), OneByOne.snapshotRanges());
+  EXPECT_EQ(Batched.freeBytes(), OneByOne.freeBytes());
+  for (unsigned I = 0; I < 8; ++I)
+    EXPECT_EQ(Batched.shard(I).freeBytes(), OneByOne.shard(I).freeBytes());
+  expectNoBoundaryCrossing(Batched);
 }
 
 TEST_F(ShardedFreeListTest, AllocatePrefersTheAffineShard) {
