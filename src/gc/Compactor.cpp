@@ -416,7 +416,7 @@ Compactor::Stats Compactor::evacuate(ThreadRegistry &Registry,
   //    that stayed (pinned or failed) is free now. The sweep's own
   //    dead-run walker derives the maximal runs (a live object
   //    straddling in from before the area keeps its extent) and returns
-  //    them in batches with the same remote-free routing. No exclusion
+  //    them to the free list in batches. No exclusion
   //    window: the area is exactly what the sweeps left to this rebuild.
   Sweeper::sweepRange(Heap, Lo, Hi);
 
@@ -438,7 +438,7 @@ Compactor::Stats Compactor::evacuate(ThreadRegistry &Registry,
         PieceEnd = std::min(PieceEnd, ChunkEnd);
       }
       if (!Sweep || !Sweep->sweepPendingAt(P))
-        Heap.releaseRange(P, static_cast<size_t>(PieceEnd - P));
+        Heap.freeList().addRange(P, static_cast<size_t>(PieceEnd - P));
       P = PieceEnd;
     }
   }

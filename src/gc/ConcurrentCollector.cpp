@@ -39,9 +39,7 @@ void ConcurrentCollector::onAllocationSlowPath(MutatorContext &Ctx,
     // Kickoff paces off *refillable* free bytes: raw free can stay above
     // the threshold while every shard is too fragmented to refill a
     // cache (DESIGN.md §9 stranding), which would start the cycle only
-    // at allocation failure. The aggregate includes bytes parked in
-    // size-class caches and remote-free queues — allocatable memory the
-    // free lists no longer see (DESIGN.md §16).
+    // at allocation failure.
     if (C.Pace.shouldKickoff(C.pacerVisibleFreeBytes()))
       tryStartCycle(&Ctx);
   }
@@ -406,9 +404,7 @@ void ConcurrentCollector::watchdogLoop() {
     double K = C.Pace.currentRate(Traced, C.Heap.freeBytes());
     // Lag detection watches the pacer-visible aggregate for the same
     // reason the kickoff does: stranded fragmented shards must count as
-    // pressure, but bytes parked in size-class caches and remote-free
-    // queues must not — they are allocatable, and ignoring them would
-    // misdiagnose a healthy fast-path heap as a stall.
+    // pressure.
     bool Behind = K >= C.Options.kmax() - 1e-9 &&
                   C.pacerVisibleFreeBytes() <
                       C.Pace.kickoffThresholdBytes() / 4;

@@ -88,15 +88,6 @@ struct GcOptions {
   /// Per-thread allocation cache (TLAB) size.
   size_t AllocCacheBytes = 32u << 10;
 
-  /// llheap-style allocation fast path (DESIGN.md §16): requests up to
-  /// MaxSizeClassBytes are rounded to a static size class (O(1)
-  /// FASTLOOKUP) and served from per-thread segregated chunk caches;
-  /// sweep/compaction return small reclaimed runs to the owning shard's
-  /// lock-free remote-free queue, drained by the shard's mutators at
-  /// refill time, instead of taking the shard lock per run. Off keeps
-  /// the legacy bump-only path byte-exact (lockstep baseline).
-  bool FastPathSizeClasses = false;
-
   /// Objects at least this big bypass the cache and are allocated
   /// directly from the free list.
   size_t LargeObjectBytes = 8u << 10;

@@ -43,7 +43,7 @@ Sweeper::SweepResult Sweeper::sweepRange(HeapSpace &Heap, uint8_t *From,
   std::array<FreeRange, ReleaseBatchCap> Batch;
   size_t Batched = 0;
   auto flush = [&] {
-    Heap.releaseRanges({Batch.data(), Batched});
+    Heap.freeList().addRanges({Batch.data(), Batched});
     Batched = 0;
   };
   auto reclaimRaw = [&](uint8_t *RunFrom, uint8_t *RunTo) {

@@ -60,8 +60,9 @@ public:
   /// compactor's area rebuild). Derives the free runs of [From, To) from
   /// the mark bits, starting past any live object spanning in across
   /// From and letting the last live object run past To. Each run gets
-  /// its allocation bits cleared; runs of at least 64 bytes are returned
-  /// through HeapSpace::releaseRanges in batches of ReleaseBatchCap. The
+  /// its allocation bits cleared; runs of at least 64 bytes go to the
+  /// free list in batches of ReleaseBatchCap (ShardedFreeList::addRanges,
+  /// one lock acquisition per shard group). The
   /// parts of runs inside [XLo, XHi) are left untouched (see
   /// setEvacuationExclusion). Not thread-safe against concurrent walks
   /// of the same range.

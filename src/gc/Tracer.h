@@ -22,6 +22,7 @@
 
 #include "gc/Compactor.h"
 #include "heap/HeapSpace.h"
+#include "support/Atomics.h"
 #include "support/FaultInjector.h"
 #include "workpackets/TraceContext.h"
 
@@ -103,9 +104,14 @@ private:
   FaultInjector *FI;
   GcObserver *Obs;
 
+  // TracedBytes is added to per traced object by every tracing thread;
+  // the pads keep the counters off the lines of the read-mostly fields
+  // above and of whatever follows the tracer.
+  char ReadMostlyPad[CacheLineBytes];
   std::atomic<uint64_t> TracedBytes{0};
   std::atomic<uint64_t> Overflows{0};
   std::atomic<uint64_t> Deferred{0};
+  char TrailingPad[CacheLineBytes];
 };
 
 } // namespace cgc

@@ -4,50 +4,7 @@
 
 #include "heap/ShardedFreeList.h"
 
-#include <algorithm>
-
 using namespace cgc;
-
-size_t AllocationCache::flushClassLists(ShardedFreeList &FL) {
-  std::vector<std::pair<uint8_t *, size_t>> Chunks;
-  for (unsigned Class = 0; Class < NumSizeClasses; ++Class) {
-    for (uint8_t *Start : ClassChunks[Class])
-      Chunks.emplace_back(Start, sizeClassBytes(Class));
-    ClassChunks[Class].clear();
-  }
-  size_t Flushed = CachedClassBytesV.load(std::memory_order_relaxed);
-  CachedClassBytesV.store(0, std::memory_order_relaxed);
-  if (Chunks.empty())
-    return 0;
-  // Coalesce before insertion: chunks carved from one refill are
-  // address-adjacent, and merged runs clear the free list's minimum
-  // tracked size where individual sub-64 B chunks would be dropped.
-  std::sort(Chunks.begin(), Chunks.end());
-  uint8_t *RunStart = Chunks.front().first;
-  size_t RunSize = Chunks.front().second;
-  for (size_t I = 1; I < Chunks.size(); ++I) {
-    auto [Start, Size] = Chunks[I];
-    if (RunStart + RunSize == Start) {
-      RunSize += Size;
-      continue;
-    }
-    FL.addRange(RunStart, RunSize);
-    RunStart = Start;
-    RunSize = Size;
-  }
-  FL.addRange(RunStart, RunSize);
-  return Flushed;
-}
-
-void AllocationCache::retire(FreeList &FL) {
-  assert(!hasUnflushedObjects() && "retiring cache with unpublished objects");
-  if (!CacheStart) {
-    return;
-  }
-  if (Cur < End)
-    FL.addRange(Cur, static_cast<size_t>(End - Cur));
-  CacheStart = Cur = FlushedTo = End = nullptr;
-}
 
 void AllocationCache::retire(ShardedFreeList &FL) {
   assert(!hasUnflushedObjects() && "retiring cache with unpublished objects");

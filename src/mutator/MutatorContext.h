@@ -135,8 +135,9 @@ public:
   CGC_ATOMIC_DOC("claimed by acq_rel CAS from owner or background scanner")
   std::atomic<uint64_t> StackScanCycle{0};
 
-  /// Bytes of small-object allocation performed (monotonic).
-  CGC_ATOMIC_DOC("owner adds relaxed; reporting reads racily")
+  /// Bytes of allocation performed (monotonic). Only the owner writes,
+  /// so it adds with a relaxed load plus store, not a locked RMW.
+  CGC_ATOMIC_DOC("owner load+store relaxed; reporting reads racily")
   std::atomic<uint64_t> BytesAllocated{0};
 
   /// Number of transactions/operations completed; maintained by

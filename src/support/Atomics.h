@@ -16,10 +16,17 @@
 #define CGC_SUPPORT_ATOMICS_H
 
 #include <atomic>
+#include <cstddef>
 #include <optional>
 #include <utility>
 
 namespace cgc {
+
+/// Cache-line size assumed for false-sharing layout: atomics every
+/// tracing thread writes are padded by it on both sides, so their lines
+/// hold no read-mostly field another thread needs. (Padding rather than
+/// alignas keeps the owning objects at ordinary alignment.)
+inline constexpr std::size_t CacheLineBytes = 64;
 
 /// Generic CAS retry loop. Each attempt calls \p OnAttempt (fault
 /// injection, contention counters), then \p Step with the currently

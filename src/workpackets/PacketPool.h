@@ -25,6 +25,7 @@
 #define CGC_WORKPACKETS_PACKETPOOL_H
 
 #include "support/Annotations.h"
+#include "support/Atomics.h"
 #include "support/FaultInjector.h"
 #include "workpackets/WorkPacket.h"
 
@@ -210,6 +211,11 @@ private:
   FaultInjector *FI;
   GcObserver *Obs;
 
+  // Heads and counters below are written by every tracing thread on
+  // every get/put. The pads keep them off the lines of the read-mostly
+  // fields above (Packets is read on every pop) and of whatever follows
+  // the pool, wherever the pool lands in its owner.
+  char ReadMostlyPad[CacheLineBytes];
   SubPool Empty, NonEmpty, AlmostFull, Deferred;
   /// Sub-pool counters trail the stack operations (updated after each
   /// push/pop), so they race benignly with them — exactly the Section
@@ -240,6 +246,7 @@ private:
   std::atomic<int64_t> SlotsQueued{0};
   CGC_ATOMIC_DOC("monotonic max via atomicStoreMax, relaxed")
   std::atomic<uint64_t> SlotsWatermark{0};
+  char TrailingPad[CacheLineBytes];
 };
 
 } // namespace cgc

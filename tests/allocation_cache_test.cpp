@@ -1,8 +1,8 @@
 //===- allocation_cache_test.cpp - TLAB / allocation-bit batching --------------//
 
 #include "heap/AllocationCache.h"
-#include "heap/FreeList.h"
 #include "heap/HeapSpace.h"
+#include "heap/ShardedFreeList.h"
 #include "support/Fences.h"
 
 #include <gtest/gtest.h>
@@ -82,7 +82,7 @@ TEST_F(AllocationCacheTest, IncrementalFlushOnlyNewObjects) {
 }
 
 TEST_F(AllocationCacheTest, RetireReturnsTailToFreeList) {
-  FreeList FL;
+  ShardedFreeList FL(Heap.base(), Heap.sizeBytes(), /*NumShards=*/1);
   Cache.assignRange(Heap.base(), 4096);
   Cache.allocate(96, 0, 0);
   Cache.flushAllocBits(Heap.allocBits());
@@ -95,7 +95,7 @@ TEST_F(AllocationCacheTest, RetireReturnsTailToFreeList) {
 }
 
 TEST_F(AllocationCacheTest, RetireEmptyCacheIsNoop) {
-  FreeList FL;
+  ShardedFreeList FL(Heap.base(), Heap.sizeBytes(), /*NumShards=*/1);
   Cache.retire(FL);
   EXPECT_EQ(FL.freeBytes(), 0u);
 }

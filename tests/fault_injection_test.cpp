@@ -182,95 +182,6 @@ TEST(FaultInjectionTest, LadderRungsFireInOrderUnderRefillInjection) {
   Heap->detachThread(Ctx);
 }
 
-TEST(FaultInjectionTest, ClassRefillWalksTheSameLadderAsBumpRefill) {
-  // Satellite of the size-class fast path (DESIGN.md §16): its refill
-  // slow path must sit behind the same degradation ladder, the same
-  // injection site, and the same rung ordering as the bump refill —
-  // chaos coverage bought for the legacy path transfers wholesale.
-  GcOptions Opts = ladderOptions();
-  Opts.FastPathSizeClasses = true;
-  Opts.Faults.failEveryNth(FaultSite::AllocCacheRefill, 1);
-  auto Heap = GcHeap::create(Opts);
-  MutatorContext &Ctx = Heap->attachThread();
-
-  // 80 total bytes: served by the class path when the flag is on.
-  Object *Obj = Heap->allocate(Ctx, 64, 1);
-  EXPECT_EQ(Obj, nullptr);
-
-  GcStatsCollector &Stats = Heap->stats();
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::RefillRetry), 1u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::SweepFinish), 1u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::StwFinish), 0u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::FullStw), 2u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::AllocationFailure), 1u);
-
-  Heap->core().Inject.disarm();
-  EXPECT_NE(Heap->allocate(Ctx, 64, 1), nullptr);
-  Heap->detachThread(Ctx);
-}
-
-TEST(FaultInjectionTest, ParkedRemoteBytesRescuedBeforeStopTheWorld) {
-  // The satellite-2 regression proper: free memory parked on a shard's
-  // remote-free queue that the requesting thread does NOT own is
-  // invisible to its own refill drain. The ladder must hand it back to
-  // the free lists on the cheap RefillRetry rung — paying a full
-  // stop-the-world to recover memory the process already has would be
-  // the shard-stranding bug reborn one level up.
-  GcOptions Opts;
-  Opts.Kind = CollectorKind::StopTheWorld;
-  Opts.HeapBytes = 4u << 20;
-  Opts.FreeListShards = 4;
-  Opts.FastPathSizeClasses = true;
-  auto Heap = GcHeap::create(Opts);
-  MutatorContext &Ctx = Heap->attachThread();
-  GcCore &Core = Heap->core();
-  ASSERT_EQ(Core.Heap.freeList().numShards(), 4u);
-
-  const unsigned Preferred = Ctx.preferredShard();
-  const unsigned Other = (Preferred + 2) % 4;
-
-  // Steal every free byte out of the locked lists in queue-eligible
-  // grabs, remembering the ranges that belong to the victim shard.
-  std::vector<std::pair<uint8_t *, size_t>> OtherRanges;
-  for (unsigned S = 0; S < 4; ++S)
-    for (;;) {
-      size_t Granted = 0;
-      uint8_t *P = Core.Heap.freeList().allocateUpTo(64, 2048, Granted, S);
-      if (!P)
-        break;
-      if (Core.Heap.freeList().shardIndexFor(P) == Other)
-        OtherRanges.emplace_back(P, Granted);
-    }
-  ASSERT_EQ(Core.Heap.freeList().freeBytes(), 0u);
-  ASSERT_FALSE(OtherRanges.empty());
-
-  // Park the victim shard's memory back — but only onto its remote
-  // queue, where this thread's per-refill drain cannot see it.
-  size_t Parked = 0;
-  for (auto [P, Size] : OtherRanges) {
-    Core.Heap.releaseRange(P, Size);
-    Parked += Size;
-  }
-  ASSERT_EQ(Core.Heap.remoteQueue(Other).queuedBytes(), Parked);
-  ASSERT_GT(Parked, 4096u);
-
-  // A bump-path request (too big for the class table): its refill finds
-  // the locked lists empty and its own queue empty. One RefillRetry
-  // rung must reclaim the parked bytes and succeed — never a FullStw.
-  Object *Obj = Heap->allocate(Ctx, 2040, 0);
-  ASSERT_NE(Obj, nullptr) << "parked bytes were never reclaimed";
-
-  GcStatsCollector &Stats = Heap->stats();
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::RefillRetry), 1u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::SweepFinish), 0u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::FullStw), 0u)
-      << "ladder escalated to stop-the-world past reclaimable memory";
-  EXPECT_EQ(Core.Heap.remoteQueuedBytes(), 0u)
-      << "reclaim must drain every queue";
-
-  Heap->detachThread(Ctx);
-}
-
 TEST(FaultInjectionTest, HappyPathRecordsZeroEscalations) {
   GcOptions Opts = ladderOptions();
   auto Heap = GcHeap::create(Opts);

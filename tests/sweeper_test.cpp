@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <tuple>
 #include <vector>
 
 using namespace cgc;
@@ -357,11 +356,10 @@ SweepOutcome referenceSweep(const HeapLayout &L, size_t ShardSpan) {
 enum class SweepMode { Serial, OneWorker, ThreeWorkers, Lazy };
 
 /// Plants \p L into a fresh heap, sweeps it in \p Mode and reads back
-/// the outcome (remote-queued runs are drained onto the free list before
-/// the snapshot, after freeBytes() has been read with them queued).
-SweepOutcome sweepLayout(const HeapLayout &L, unsigned Shards, bool Route,
-                         SweepMode Mode, size_t &ShardSpan) {
-  HeapSpace Heap(PropHeapBytes, Shards, nullptr, 0, Route);
+/// the outcome.
+SweepOutcome sweepLayout(const HeapLayout &L, unsigned Shards, SweepMode Mode,
+                         size_t &ShardSpan) {
+  HeapSpace Heap(PropHeapBytes, Shards);
   ShardSpan = Heap.freeList().shardSpanBytes();
   for (const auto &O : L.Objects) {
     Object *Obj = reinterpret_cast<Object *>(Heap.base() + O.Offset);
@@ -396,8 +394,6 @@ SweepOutcome sweepLayout(const HeapLayout &L, unsigned Shards, bool Route,
     break;
   }
   Out.FreeBytes = Heap.freeBytes();
-  Heap.drainAllRemoteQueues();
-  EXPECT_EQ(Heap.freeBytes(), Out.FreeBytes);
   for (auto [Start, Size] : Heap.freeList().snapshotRanges())
     Out.FreeRanges.emplace_back(static_cast<size_t>(Start - Heap.base()),
                                 Size);
@@ -407,13 +403,11 @@ SweepOutcome sweepLayout(const HeapLayout &L, unsigned Shards, bool Route,
   return Out;
 }
 
-class SweepEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<unsigned, bool>> {};
+class SweepEquivalenceTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(SweepEquivalenceTest, EveryModeMatchesThePerGranuleReference) {
-  auto [Shards, Route] = GetParam();
-  uint64_t Seed = testSeed(0x5eed5eedull + Shards * 2 + Route,
-                           "SweepEquivalence");
+  const unsigned Shards = GetParam();
+  uint64_t Seed = testSeed(0x5eed5eedull + Shards * 2, "SweepEquivalence");
   for (uint64_t Heap = 0; Heap < 3; ++Heap) {
     HeapLayout L = randomLayout(Seed + Heap * 0x9e3779b97f4a7c15ull);
     size_t ShardSpan = 0;
@@ -421,7 +415,7 @@ TEST_P(SweepEquivalenceTest, EveryModeMatchesThePerGranuleReference) {
                            SweepMode::ThreeWorkers, SweepMode::Lazy}) {
       SCOPED_TRACE(::testing::Message()
                    << "heap " << Heap << " mode " << static_cast<int>(Mode));
-      SweepOutcome Got = sweepLayout(L, Shards, Route, Mode, ShardSpan);
+      SweepOutcome Got = sweepLayout(L, Shards, Mode, ShardSpan);
       SweepOutcome Want = referenceSweep(L, ShardSpan);
       EXPECT_EQ(Got.LiveBytes, Want.LiveBytes);
       EXPECT_EQ(Got.FreeBytes, Want.FreeBytes);
@@ -431,9 +425,8 @@ TEST_P(SweepEquivalenceTest, EveryModeMatchesThePerGranuleReference) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ShardsAndRouting, SweepEquivalenceTest,
-    ::testing::Combine(::testing::Values(1u, 2u, 8u), ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(ShardCounts, SweepEquivalenceTest,
+                         ::testing::Values(1u, 2u, 8u));
 
 TEST(SweepLockCount, ChunkCostsItsBatchesPlusTheShardsItTouches) {
   // 8 shards over 4 MB: chunk 0 covers shards 0 and 1. A 64 B live
