@@ -62,10 +62,6 @@ struct RunOutcome {
   CooperationQuantiles FenceHandshake;
   uint64_t StwStallWarnings = 0;
   uint64_t FenceTimeouts = 0;
-  /// Mean achieved tracing rate over concurrent cycles (Table 1's K).
-  double KActualAvg = 0;
-  /// Mean estimated floating garbage as a fraction of the heap.
-  double FloatingGarbageFrac = 0;
   /// Events overwritten before export (ring too small for the run).
   uint64_t DroppedEvents = 0;
 };
@@ -103,22 +99,6 @@ inline void harvestObservability(GcHeap &Heap, RunOutcome &Out) {
   Out.FenceHandshake = cooperationQuantiles(Obs, PauseMetric::FenceHandshake);
   Out.StwStallWarnings = Heap.core().Registry.stwStallWarnings();
   Out.FenceTimeouts = Heap.core().Registry.fenceTimeouts();
-
-  std::vector<CycleGauges> Gauges = Obs.metrics().cycleGauges();
-  uint64_t NumConcurrent = 0;
-  for (const CycleGauges &G : Gauges) {
-    if (G.Concurrent) {
-      Out.KActualAvg += G.KActual;
-      ++NumConcurrent;
-    }
-    if (G.HeapBytes)
-      Out.FloatingGarbageFrac += static_cast<double>(G.FloatingGarbageBytes) /
-                                 static_cast<double>(G.HeapBytes);
-  }
-  if (NumConcurrent)
-    Out.KActualAvg /= static_cast<double>(NumConcurrent);
-  if (!Gauges.empty())
-    Out.FloatingGarbageFrac /= static_cast<double>(Gauges.size());
 
   if (const char *Dir = traceDir()) {
     static unsigned RunSeq = 0; // Benches are single-threaded mains.
@@ -232,8 +212,9 @@ inline void addCommonMetrics(BenchJsonWriter &Json, const RunOutcome &Run) {
   Json.addMetric("throughput_per_s", Run.Workload.throughput(), "per_s");
   Json.addMetric("gc_cycles_count",
                  static_cast<double>(Run.Agg.NumCycles), "count");
-  Json.addMetric("k_actual_ratio", Run.KActualAvg, "ratio");
-  Json.addMetric("floating_garbage_ratio", Run.FloatingGarbageFrac, "ratio");
+  Json.addMetric("k_actual_ratio", Run.Agg.KActualMean, "ratio");
+  Json.addMetric("floating_garbage_ratio", Run.Agg.FloatingGarbageRatio,
+                 "ratio");
   Json.addMetric("dropped_events_count",
                  static_cast<double>(Run.DroppedEvents), "count");
   Json.addMetric("stw_entry_p50_ms", Run.StwEntry.P50Ms, "ms");

@@ -1,6 +1,6 @@
 //===- StealingMarker.cpp - Traditional mark-stack load balancer ---------------//
 
-#include "gc/StealingMarker.h"
+#include "bench/StealingMarker.h"
 
 #include "gc/WorkerPool.h"
 
@@ -10,9 +10,8 @@
 
 using namespace cgc;
 
-StealingMarker::StealingMarker(HeapSpace &Heap, unsigned NumWorkers,
-                               FaultInjector *FI)
-    : Heap(Heap), FI(FI) {
+StealingMarker::StealingMarker(HeapSpace &Heap, unsigned NumWorkers)
+    : Heap(Heap) {
   assert(NumWorkers > 0 && "need at least one marker");
   States.reserve(NumWorkers);
   for (unsigned I = 0; I < NumWorkers; ++I)
@@ -48,8 +47,6 @@ void StealingMarker::pushWork(WorkerState &W, Object *Obj) {
 bool StealingMarker::stealFor(unsigned Index) {
   WorkerState &Self = *States[Index];
   unsigned N = static_cast<unsigned>(States.size());
-  if (FI)
-    FI->maybePerturb(FaultSite::MarkerSteal);
   for (unsigned Offset = 1; Offset <= N; ++Offset) {
     WorkerState &Victim = *States[(Index + Offset) % N];
     SpinLockGuard Guard(Victim.QueueLock);

@@ -5,16 +5,16 @@
 /// packets against (Section 4.4): each worker owns a private mark stack
 /// and exposes part of its excess work in an attached stealable queue, in
 /// the style of Endo et al and Flood et al. Used only by the
-/// bench/ablation_load_balancer comparison — the collectors themselves
-/// use work packets.
+/// ablation_load_balancer comparison (and its unit test) — the collectors
+/// themselves use work packets, so it lives with the benches, not in
+/// src/gc.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef CGC_GC_STEALINGMARKER_H
-#define CGC_GC_STEALINGMARKER_H
+#ifndef CGC_BENCH_STEALINGMARKER_H
+#define CGC_BENCH_STEALINGMARKER_H
 
 #include "heap/HeapSpace.h"
-#include "support/FaultInjector.h"
 #include "support/SpinLock.h"
 
 #include <atomic>
@@ -29,10 +29,8 @@ class WorkerPool;
 /// Parallel STW marker with private stacks + stealing.
 class StealingMarker {
 public:
-  /// Creates a marker for \p NumWorkers participants. \p FI (optional)
-  /// arms the steal-attempt perturbation site (scheduling chaos only).
-  StealingMarker(HeapSpace &Heap, unsigned NumWorkers,
-                 FaultInjector *FI = nullptr);
+  /// Creates a marker for \p NumWorkers participants.
+  StealingMarker(HeapSpace &Heap, unsigned NumWorkers);
 
   /// Seeds root objects (single-threaded, before markParallel).
   void addRoot(Object *Obj);
@@ -71,7 +69,6 @@ private:
   void pushWork(WorkerState &W, Object *Obj);
 
   HeapSpace &Heap;
-  FaultInjector *FI;
   std::vector<std::unique_ptr<WorkerState>> States;
   std::atomic<uint64_t> TracedBytes{0};
   std::atomic<uint64_t> Steals{0};
@@ -81,4 +78,4 @@ private:
 
 } // namespace cgc
 
-#endif // CGC_GC_STEALINGMARKER_H
+#endif // CGC_BENCH_STEALINGMARKER_H

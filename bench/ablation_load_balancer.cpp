@@ -13,7 +13,7 @@
 
 #include "bench/BenchUtil.h"
 
-#include "gc/StealingMarker.h"
+#include "bench/StealingMarker.h"
 #include "gc/Tracer.h"
 #include "gc/WorkerPool.h"
 #include "support/Random.h"

@@ -267,29 +267,6 @@ void CollectorBase::recordCycleObservability(const CycleRecord &Record) {
   M.histogram(PauseMetric::FinalCardClean).record(ToNs(Record.FinalCardCleanMs));
   M.histogram(PauseMetric::FinalMark).record(ToNs(Record.FinalMarkMs));
   M.histogram(PauseMetric::Sweep).record(ToNs(Record.SweepMs));
-
-  CycleGauges G;
-  G.Cycle = Record.CycleNumber;
-  G.Concurrent = Record.Concurrent ? 1 : 0;
-  G.KTarget = C.Options.TracingRate;
-  // Achieved tracing rate over the concurrent window (Table 1's "K").
-  G.KActual = Record.BytesAllocatedConcurrent
-                  ? static_cast<double>(Record.BytesTracedConcurrent) /
-                        static_cast<double>(Record.BytesAllocatedConcurrent)
-                  : 0.0;
-  G.Best = C.Pace.estimateBest();
-  PacketPoolOccupancy Occ = C.Pool.occupancy();
-  G.PoolEmpty = Occ.Empty;
-  G.PoolNonEmpty = Occ.NonEmpty;
-  G.PoolAlmostFull = Occ.AlmostFull;
-  G.PoolDeferred = Occ.Deferred;
-  G.LiveAfterBytes = Record.LiveBytesAfter;
-  G.HeapBytes = Record.HeapBytes;
-  G.CompactionAreasScored = Record.CompactionAreasScored;
-  G.CompactionEvacuatedBytes = Record.EvacuatedBytes;
-  G.CompactionPinnedObjects = Record.PinnedObjects;
-  G.CompactionFailedMoves = Record.CompactionFailedMoves;
-  M.addCycleGauges(G);
 #else
   (void)Record;
 #endif

@@ -58,10 +58,10 @@ protected:
   /// holds the collect lock.
   void runFullStwCycle(MutatorContext *Ctx);
 
-  /// Feeds a finished cycle's record into the observability layer:
-  /// pause histograms (total pause and its decomposition) and the
-  /// per-cycle gauges (K actual vs. target, Best, pool occupancy,
-  /// floating garbage). No-op when Observe is off.
+  /// Feeds a finished cycle's record into the observability layer's
+  /// pause histograms (total pause and its decomposition). No-op when
+  /// Observe is off. Per-cycle gauges (K actual, floating garbage) are
+  /// derived from the CycleRecord log by GcAggregates::compute.
   void recordCycleObservability(const CycleRecord &Record);
 
   GcCore &C;

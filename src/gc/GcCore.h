@@ -55,8 +55,7 @@ struct GcCore {
              Opts.LargeObjectBytes),
         Pool(Opts.NumWorkPackets, &Inject, &Obs),
         Compact(Heap, Opts.EvacuationAreaBytes, &Inject),
-        Trace(Heap, Pool, Registry, &Compact, Opts.NaiveFenceAccounting,
-              &Inject, &Obs),
+        Trace(Heap, Pool, Registry, &Compact, &Inject, &Obs),
         Cleaner(Heap, Registry, &Inject, &Obs), Sweep(Heap, &Obs),
         Workers(Opts.GcWorkerThreads, &Inject),
         Pace(Opts, Heap.sizeBytes(), &Obs) {

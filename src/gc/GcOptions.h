@@ -52,8 +52,8 @@ struct GcOptions {
   /// start concurrent cycles earlier, trading throughput (more cycles,
   /// more floating garbage) for request-latency headroom — with less of
   /// the heap outstanding when the final pause arrives, the pause is
-  /// shorter and an open-loop latency SLO (bench/openloop_kv) is easier
-  /// to hold. Values below 1.0 delay kickoff (throughput-biased).
+  /// shorter and an open-loop latency SLO (perfbench's kv workload) is
+  /// easier to hold. Values below 1.0 delay kickoff (throughput-biased).
   double KickoffHeadroom = 1.0;
 
   /// Alpha for the exponential smoothing of L, M and Best.
@@ -108,10 +108,6 @@ struct GcOptions {
 
   /// Run the reachability verifier inside every final pause (tests).
   bool VerifyEachCycle = false;
-
-  /// Ablation: additionally count the fences a naive scheme would issue
-  /// (one per object allocated / per write barrier / per object traced).
-  bool NaiveFenceAccounting = false;
 
   /// Background thread tracing quantum in bytes.
   size_t BackgroundQuantumBytes = 64u << 10;

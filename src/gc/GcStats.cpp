@@ -50,7 +50,21 @@ GcAggregates GcAggregates::compute(const std::vector<CycleRecord> &Records) {
   A.NumCycles = Records.size();
   if (Records.empty())
     return A;
+  size_t NumConcurrent = 0;
+  uint64_t MinLiveAfter = UINT64_MAX;
   for (const CycleRecord &R : Records) {
+    if (R.Concurrent) {
+      ++NumConcurrent;
+      if (R.BytesAllocatedConcurrent)
+        A.KActualMean += static_cast<double>(R.BytesTracedConcurrent) /
+                         static_cast<double>(R.BytesAllocatedConcurrent);
+    }
+    if (R.LiveBytesAfter < MinLiveAfter)
+      MinLiveAfter = R.LiveBytesAfter;
+    if (R.HeapBytes)
+      A.FloatingGarbageRatio +=
+          static_cast<double>(R.LiveBytesAfter - MinLiveAfter) /
+          static_cast<double>(R.HeapBytes);
     double MarkMs = R.FinalCardCleanMs + R.StackRescanMs + R.FinalMarkMs;
     A.AvgPauseMs += R.PauseMs;
     A.AvgMarkMs += MarkMs;
@@ -71,5 +85,8 @@ GcAggregates GcAggregates::compute(const std::vector<CycleRecord> &Records) {
   A.AvgLiveBytesAfter /= N;
   A.AvgCardsCleanedFinal /= N;
   A.AvgCardsCleanedConcurrent /= N;
+  A.FloatingGarbageRatio /= N;
+  if (NumConcurrent)
+    A.KActualMean /= static_cast<double>(NumConcurrent);
   return A;
 }

@@ -220,8 +220,20 @@ struct GcAggregates {
   double AvgLiveBytesAfter = 0;
   double AvgCardsCleanedFinal = 0;
   double AvgCardsCleanedConcurrent = 0;
+  /// Table 1's achieved tracing rate K: the mean over concurrent cycles
+  /// of bytes traced / bytes allocated in the concurrent window (a cycle
+  /// that allocated nothing in its window counts as 0).
+  double KActualMean = 0;
+  /// Estimated floating garbage as a share of the heap, averaged over
+  /// all cycles. A cycle's estimate is its live-after minus the lowest
+  /// live-after seen so far (the running low-water mark): objects that
+  /// died during tracing but were conservatively retained (Section
+  /// 2.2). An approximation, since the true figure needs a precise
+  /// baseline collection, but monotone in the quantity the paper
+  /// discusses.
+  double FloatingGarbageRatio = 0;
 
-  /// Computes aggregates over \p Records.
+  /// Computes aggregates over \p Records (in cycle order).
   static GcAggregates compute(const std::vector<CycleRecord> &Records);
 };
 

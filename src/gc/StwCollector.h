@@ -7,7 +7,7 @@
 /// parallel. (This reproduction uses work packets for the parallel STW
 /// marking too — the paper's conclusion proposes exactly that; the
 /// traditional stealing-mark-stack balancer is kept as an ablation in
-/// StealingMarker.)
+/// bench/StealingMarker.)
 ///
 //===----------------------------------------------------------------------===//
 

@@ -34,8 +34,6 @@ void Tracer::markAndQueue(TraceContext &Ctx, Object *Obj) {
 }
 
 size_t Tracer::scanObject(TraceContext &Ctx, Object *Obj) {
-  if (NaiveFences)
-    recordNaiveFence(FenceSite::NaivePerObjectTrace);
   unsigned NumRefs = Obj->numRefs();
   for (unsigned I = 0; I < NumRefs; ++I) {
     Object *Child = Obj->loadRef(I);

@@ -42,10 +42,10 @@ public:
   /// way a mutator outrunning the tracer looks to the pacer. \p Obs
   /// (optional) receives overflow events.
   Tracer(HeapSpace &Heap, PacketPool &Pool, ThreadRegistry &Registry,
-         Compactor *Compact = nullptr, bool NaiveFenceAccounting = false,
-         FaultInjector *FI = nullptr, GcObserver *Obs = nullptr)
-      : Heap(Heap), Pool(Pool), Registry(Registry), Compact(Compact),
-        NaiveFences(NaiveFenceAccounting), FI(FI), Obs(Obs) {}
+         Compactor *Compact = nullptr, FaultInjector *FI = nullptr,
+         GcObserver *Obs = nullptr)
+      : Heap(Heap), Pool(Pool), Registry(Registry), Compact(Compact), FI(FI),
+        Obs(Obs) {}
 
   /// Resets the per-cycle counters (call at cycle initialization).
   void beginCycle();
@@ -100,7 +100,6 @@ private:
   PacketPool &Pool;
   ThreadRegistry &Registry;
   Compactor *Compact;
-  const bool NaiveFences;
   FaultInjector *FI;
   GcObserver *Obs;
 

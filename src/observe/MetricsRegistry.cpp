@@ -1,4 +1,4 @@
-//===- MetricsRegistry.cpp - Histogram math and gauge log -----------------===//
+//===- MetricsRegistry.cpp - Histogram math ------------------------------===//
 
 #include "observe/MetricsRegistry.h"
 
@@ -87,17 +87,4 @@ const char *cgc::pauseMetricName(PauseMetric Metric) {
     break;
   }
   return "invalid";
-}
-
-void MetricsRegistry::addCycleGauges(CycleGauges Gauges) {
-  SpinLockGuard Guard(GaugeLock);
-  if (Gauges.LiveAfterBytes < MinLiveAfter)
-    MinLiveAfter = Gauges.LiveAfterBytes;
-  Gauges.FloatingGarbageBytes = Gauges.LiveAfterBytes - MinLiveAfter;
-  this->Gauges.push_back(Gauges);
-}
-
-std::vector<CycleGauges> MetricsRegistry::cycleGauges() const {
-  SpinLockGuard Guard(GaugeLock);
-  return Gauges;
 }

@@ -1,10 +1,11 @@
-//===- MetricsRegistry.h - Pause histograms and cycle gauges ----*- C++ -*-===//
+//===- MetricsRegistry.h - Pause histograms, request counters ---*- C++ -*-===//
 ///
 /// \file
 /// Aggregated metrics backing the paper's figures: log-scale pause-time
 /// histograms (Figures 1-2 report pause distributions; we track
-/// p50/p95/p99/max) and per-cycle gauges (Table 1's K actual vs. target,
-/// the pacer's Best estimate, packet-pool occupancy, floating garbage).
+/// p50/p95/p99/max) and open-loop request counters. Per-cycle gauges
+/// (Table 1's K actual, floating garbage) are derived from the one
+/// per-cycle record, CycleRecord, by GcAggregates::compute.
 ///
 /// PauseHistogram is HDR-style: 8 sub-buckets per power-of-two octave
 /// above 1024 ns, 8 linear 128 ns buckets below. Relative quantile error
@@ -18,11 +19,9 @@
 
 #include "support/Annotations.h"
 #include "support/Atomics.h"
-#include "support/SpinLock.h"
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 namespace cgc {
 
@@ -121,46 +120,6 @@ enum class PauseMetric : uint8_t {
 /// Stable export key for a pause metric.
 const char *pauseMetricName(PauseMetric Metric);
 
-/// End-of-cycle snapshot gauges (one row per completed GC cycle).
-struct CycleGauges {
-  /// 1-based cycle number.
-  uint64_t Cycle = 0;
-  /// 1 if the cycle ran its tracing concurrently, 0 for full STW.
-  uint32_t Concurrent = 0;
-  /// The configured tracing-rate target K0.
-  double KTarget = 0;
-  /// Achieved tracing rate: bytes traced / bytes allocated during the
-  /// concurrent phase (0 for STW cycles).
-  double KActual = 0;
-  /// The pacer's Best estimate (background bytes traced per allocated
-  /// byte) at cycle end.
-  double Best = 0;
-  /// Packet-pool occupancy at cycle end, by sub-pool.
-  uint64_t PoolEmpty = 0;
-  uint64_t PoolNonEmpty = 0;
-  uint64_t PoolAlmostFull = 0;
-  uint64_t PoolDeferred = 0;
-  /// Live bytes surviving the cycle.
-  uint64_t LiveAfterBytes = 0;
-  /// Heap size the cycle ran against.
-  uint64_t HeapBytes = 0;
-  /// Estimated floating garbage: this cycle's live-after minus the
-  /// smallest live-after seen so far (objects that died during tracing
-  /// but were conservatively retained). An approximation — the true
-  /// figure needs a precise baseline collection — but monotone in the
-  /// quantity the paper discusses (Section 2.2).
-  uint64_t FloatingGarbageBytes = 0;
-  /// Incremental compaction (all zero for cycles without an armed
-  /// area). Candidate areas scored by the fragmentation-guided
-  /// selector, bytes evacuated out of the chosen area, objects pinned
-  /// by conservative stack roots, and moves abandoned for lack of
-  /// target space.
-  uint64_t CompactionAreasScored = 0;
-  uint64_t CompactionEvacuatedBytes = 0;
-  uint64_t CompactionPinnedObjects = 0;
-  uint64_t CompactionFailedMoves = 0;
-};
-
 /// Request-level counters for the open-loop server workloads
 /// (DESIGN.md §15). Recording is lock-free relaxed adds from client
 /// threads; snapshot() reads racily (reports read quiescent counters).
@@ -199,9 +158,8 @@ struct RequestCounters {
   }
 };
 
-/// Owns every histogram and the per-cycle gauge log for one collector
-/// instance. Histogram recording is lock-free; the gauge log takes a
-/// spin lock (once per cycle, cold).
+/// Owns every histogram and the request counters for one collector
+/// instance. Recording is lock-free.
 class MetricsRegistry {
 public:
   /// The histogram for \p Metric (always valid).
@@ -212,13 +170,6 @@ public:
     return Histograms[static_cast<size_t>(Metric)];
   }
 
-  /// Appends one end-of-cycle gauge row, deriving FloatingGarbageBytes
-  /// from the live-after low-water mark.
-  void addCycleGauges(CycleGauges Gauges);
-
-  /// Snapshot of all gauge rows so far, in cycle order.
-  std::vector<CycleGauges> cycleGauges() const;
-
   /// Per-request counters (open-loop server workloads).
   RequestCounters &requests() { return Requests; }
   const RequestCounters &requests() const { return Requests; }
@@ -226,12 +177,6 @@ public:
 private:
   PauseHistogram Histograms[static_cast<size_t>(PauseMetric::NumMetrics)];
   RequestCounters Requests;
-
-  mutable SpinLock GaugeLock;
-  CGC_GUARDED_BY(GaugeLock)
-  std::vector<CycleGauges> Gauges;
-  CGC_GUARDED_BY(GaugeLock)
-  uint64_t MinLiveAfter = UINT64_MAX;
 };
 
 } // namespace cgc

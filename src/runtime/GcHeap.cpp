@@ -127,8 +127,6 @@ Object *GcHeap::allocate(MutatorContext &Ctx, size_t PayloadBytes,
                          uint16_t NumRefs, uint16_t ClassId) {
   Core.Registry.poll(Ctx, Core.Heap.allocBits());
   size_t Total = Object::requiredSize(PayloadBytes, NumRefs);
-  if (Core.Options.NaiveFenceAccounting)
-    recordNaiveFence(FenceSite::NaivePerObjectAlloc);
   if (Total >= Core.Options.LargeObjectBytes)
     return allocateLarge(Ctx, Total, NumRefs, ClassId);
 

@@ -87,8 +87,6 @@ public:
     Holder->storeRefRaw(Slot, Value);
     if (BarrierEnabled)
       Core.Heap.cards().dirty(Holder);
-    if (Core.Options.NaiveFenceAccounting)
-      recordNaiveFence(FenceSite::NaivePerWriteBarrier);
   }
 
   /// Reference load (no read barrier in this collector).

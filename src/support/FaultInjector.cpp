@@ -31,8 +31,6 @@ const char *cgc::faultSiteName(FaultSite Site) {
     return "card-clean-step";
   case FaultSite::TracerStep:
     return "tracer-step";
-  case FaultSite::MarkerSteal:
-    return "marker-steal";
   case FaultSite::WorkerDispatch:
     return "worker-dispatch";
   case FaultSite::CompactorTargetAlloc:

@@ -72,8 +72,6 @@ enum class FaultSite : unsigned {
   /// Tracer::traceWork — the tracing increment ends early, under-filling
   /// its budget (allocation outruns the tracer; the pacer falls behind).
   TracerStep,
-  /// Perturb-only: StealingMarker steal attempts.
-  MarkerSteal,
   /// WorkerPool::runParallel — parallel dispatch degrades to serial
   /// execution on the calling thread (workers "unavailable").
   WorkerDispatch,

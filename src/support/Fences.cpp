@@ -16,12 +16,6 @@ const char *cgc::fenceSiteName(FenceSite Site) {
     return "card-table-handshake";
   case FenceSite::StopTheWorld:
     return "stop-the-world";
-  case FenceSite::NaivePerObjectAlloc:
-    return "naive-per-object-alloc";
-  case FenceSite::NaivePerWriteBarrier:
-    return "naive-per-write-barrier";
-  case FenceSite::NaivePerObjectTrace:
-    return "naive-per-object-trace";
   case FenceSite::NumSites:
     break;
   }
@@ -30,17 +24,8 @@ const char *cgc::fenceSiteName(FenceSite Site) {
 
 uint64_t FenceCounters::totalRealFences() const {
   uint64_t Total = 0;
-  for (unsigned I = 0; I < static_cast<unsigned>(FenceSite::NaivePerObjectAlloc);
-       ++I)
-    Total += Counts[I].load(std::memory_order_relaxed);
-  return Total;
-}
-
-uint64_t FenceCounters::totalNaiveFences() const {
-  uint64_t Total = 0;
-  for (unsigned I = static_cast<unsigned>(FenceSite::NaivePerObjectAlloc);
-       I < NumSites; ++I)
-    Total += Counts[I].load(std::memory_order_relaxed);
+  for (const auto &C : Counts)
+    Total += C.load(std::memory_order_relaxed);
   return Total;
 }
 

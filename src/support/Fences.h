@@ -10,8 +10,9 @@
 /// barrier. On the reproduction host (x86/TSO) a fence's reordering effect
 /// cannot be observed, so in addition to issuing a real
 /// std::atomic_thread_fence we count every fence per call-site category.
-/// The fence-count tables produced by bench/ablation_fences reproduce the
-/// paper's claim ("significantly fewer fences") quantitatively.
+/// bench/ablation_fences compares these counts with the naive scheme's
+/// per-operation fences, which it derives from the same run, to reproduce
+/// the paper's claim ("significantly fewer fences") quantitatively.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +26,7 @@
 namespace cgc {
 
 /// Why a fence was issued. Each enumerator is one of the batching points
-/// described in Section 5 of the paper (or the naive scheme simulated for
-/// the ablation benchmark).
+/// described in Section 5 of the paper.
 enum class FenceSite : unsigned {
   /// One fence when a full allocation cache publishes its allocation bits
   /// (Section 5.2, mutator side, step 2).
@@ -42,14 +42,6 @@ enum class FenceSite : unsigned {
   CardTableHandshake,
   /// Fences that are part of stopping/starting the world.
   StopTheWorld,
-  /// Ablation only: the naive scheme's fence after every single object
-  /// allocation (never issued by the real collector; counted when the
-  /// naive-fence simulation knob is on).
-  NaivePerObjectAlloc,
-  /// Ablation only: the naive scheme's fence per write barrier.
-  NaivePerWriteBarrier,
-  /// Ablation only: the naive scheme's fence per object traced.
-  NaivePerObjectTrace,
   NumSites
 };
 
@@ -74,11 +66,8 @@ public:
         std::memory_order_relaxed);
   }
 
-  /// Sum over every real (non-ablation) site.
+  /// Sum over every site.
   uint64_t totalRealFences() const;
-
-  /// Sum over the simulated naive sites.
-  uint64_t totalNaiveFences() const;
 
   /// Zeroes all counters.
   void reset();
@@ -96,11 +85,6 @@ inline void fence(FenceSite Site) {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   fenceCounters().record(Site);
 }
-
-/// Records a fence the naive scheme would have issued, without paying for
-/// it. Used by the fence ablation to compare batched vs per-operation
-/// schemes on identical executions.
-inline void recordNaiveFence(FenceSite Site) { fenceCounters().record(Site); }
 
 } // namespace cgc
 

@@ -140,7 +140,7 @@ uint64_t kvHashKey(const char *Key, size_t KeyLen);
 
 /// Configuration of the closed-loop KvStore exercise workload (the
 /// open-loop latency driver lives in workloads/OpenLoop.h and is wired
-/// to a KvStore by bench/openloop_kv.cpp; this workload is the
+/// to a KvStore by perfbench/perfbench.cpp; this workload is the
 /// correctness/soak shape used by the test matrix).
 struct KvWorkloadConfig {
   unsigned Threads = 3;

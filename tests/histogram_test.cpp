@@ -1,13 +1,15 @@
-//===- histogram_test.cpp - PauseHistogram and gauge-log unit tests -----------//
+//===- histogram_test.cpp - PauseHistogram and derived-gauge unit tests -------//
 ///
 /// Locks in the HDR-lite histogram contract: bucketFor/bucketLowerBound
 /// are exact inverses at every bucket boundary, quantiles match a
 /// reference sort to within one sub-bucket (12.5% relative error),
-/// quantile(1.0) is the exact maximum, and the cycle-gauge log derives
-/// floating garbage from the live-after low-water mark.
+/// quantile(1.0) is the exact maximum. Also checks the per-cycle gauges
+/// GcAggregates derives from CycleRecords: K actual over concurrent
+/// cycles, and floating garbage from the live-after low-water mark.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "gc/GcStats.h"
 #include "observe/MetricsRegistry.h"
 #include "TestSeed.h"
 
@@ -142,25 +144,48 @@ TEST(MetricsRegistryTest, PauseMetricNamesAreStable) {
                "request_service");
 }
 
-TEST(MetricsRegistryTest, FloatingGarbageUsesLowWaterMark) {
-  MetricsRegistry M;
+TEST(GcAggregatesTest, FloatingGarbageUsesLowWaterMark) {
+  const uint64_t Heap = 1000;
+  std::vector<CycleRecord> Records;
   auto add = [&](uint64_t Cycle, uint64_t LiveAfter) {
-    CycleGauges G;
-    G.Cycle = Cycle;
-    G.LiveAfterBytes = LiveAfter;
-    M.addCycleGauges(G);
+    CycleRecord R;
+    R.CycleNumber = Cycle;
+    R.LiveBytesAfter = LiveAfter;
+    R.HeapBytes = Heap;
+    Records.push_back(R);
   };
   add(1, 100); // low-water = 100 -> floating 0
   add(2, 150); // floating 50 over the baseline
   add(3, 80);  // new low-water -> floating 0
   add(4, 130); // floating 50 over the *new* baseline
 
-  std::vector<CycleGauges> Gauges = M.cycleGauges();
-  ASSERT_EQ(Gauges.size(), 4u);
-  EXPECT_EQ(Gauges[0].FloatingGarbageBytes, 0u);
-  EXPECT_EQ(Gauges[1].FloatingGarbageBytes, 50u);
-  EXPECT_EQ(Gauges[2].FloatingGarbageBytes, 0u);
-  EXPECT_EQ(Gauges[3].FloatingGarbageBytes, 50u);
+  // The aggregate is the mean per-cycle share, so each prefix's sum
+  // minus the previous prefix's sum recovers that cycle's figure.
+  const uint64_t Expected[] = {0, 50, 0, 50};
+  double PrevSum = 0;
+  for (size_t K = 1; K <= Records.size(); ++K) {
+    std::vector<CycleRecord> Prefix(Records.begin(), Records.begin() + K);
+    double Sum = GcAggregates::compute(Prefix).FloatingGarbageRatio *
+                 static_cast<double>(K);
+    EXPECT_NEAR((Sum - PrevSum) * static_cast<double>(Heap),
+                static_cast<double>(Expected[K - 1]), 1e-9)
+        << "cycle " << K;
+    PrevSum = Sum;
+  }
+  EXPECT_NEAR(GcAggregates::compute(Records).FloatingGarbageRatio,
+              100.0 / 1000.0 / 4.0, 1e-12);
+}
+
+TEST(GcAggregatesTest, KActualAveragesConcurrentCyclesOnly) {
+  std::vector<CycleRecord> Records(3);
+  Records[0].Concurrent = true;
+  Records[0].BytesTracedConcurrent = 800;
+  Records[0].BytesAllocatedConcurrent = 100; // K = 8
+  Records[1].Concurrent = false;             // STW: not averaged
+  Records[1].BytesTracedConcurrent = 5000;
+  Records[1].BytesAllocatedConcurrent = 1;
+  Records[2].Concurrent = true; // allocated nothing in its window: K = 0
+  EXPECT_DOUBLE_EQ(GcAggregates::compute(Records).KActualMean, 4.0);
 }
 
 } // namespace

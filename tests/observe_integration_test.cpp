@@ -2,8 +2,9 @@
 ///
 /// Drives a real collector with GcOptions::Observe on and asserts the
 /// event stream is well-formed: timestamps merge in order, STW sections
-/// never nest, incremental-trace quanta pair up per thread, the K and
-/// Best gauges are finite, and a generously sized ring drops nothing.
+/// never nest, incremental-trace quanta pair up per thread, the derived
+/// K gauge is finite, and a generously sized ring drops nothing. The
+/// derived gauges need no Observe: they come from the cycle records.
 /// Also locks in the zero-cost contract: a deterministic workload run
 /// with Observe off produces GcStats identical to the same run with
 /// Observe on (instrumentation must never change collector behavior).
@@ -137,25 +138,24 @@ TEST(ObserveIntegrationTest, GraphChurnStreamIsWellFormed) {
   EXPECT_EQ(M.histogram(PauseMetric::TotalPause).count(), Cycles);
   EXPECT_GT(M.histogram(PauseMetric::TotalPause).max(), 0u);
 
-  // Gauges: one row per cycle, finite K and Best, sane pool occupancy.
-  std::vector<CycleGauges> Gauges = M.cycleGauges();
-  ASSERT_EQ(Gauges.size(), Cycles);
-  uint32_t TotalPackets = Opts.NumWorkPackets;
-  for (const CycleGauges &G : Gauges) {
-    EXPECT_GT(G.Cycle, 0u);
-    EXPECT_GT(G.KTarget, 0.0);
-    EXPECT_TRUE(std::isfinite(G.KActual));
-    EXPECT_GE(G.KActual, 0.0);
-    EXPECT_TRUE(std::isfinite(G.Best));
-    EXPECT_GE(G.Best, 0.0);
-    // At cycle end every packet sits in some sub-pool.
-    EXPECT_EQ(G.PoolEmpty + G.PoolNonEmpty + G.PoolAlmostFull +
-                  G.PoolDeferred,
-              TotalPackets);
-    EXPECT_EQ(G.HeapBytes, Opts.HeapBytes);
-    EXPECT_LE(G.LiveAfterBytes, G.HeapBytes);
-    EXPECT_LE(G.FloatingGarbageBytes, G.LiveAfterBytes);
+  // Per-cycle gauges, derived from the cycle records: finite K, and
+  // floating garbage never exceeds what survived.
+  std::vector<CycleRecord> Records = Heap->stats().snapshot();
+  GcAggregates Agg = GcAggregates::compute(Records);
+  EXPECT_TRUE(std::isfinite(Agg.KActualMean));
+  EXPECT_GE(Agg.KActualMean, 0.0);
+  EXPECT_GE(Agg.FloatingGarbageRatio, 0.0);
+  EXPECT_LE(Agg.FloatingGarbageRatio * static_cast<double>(Opts.HeapBytes),
+            Agg.AvgLiveBytesAfter);
+  for (const CycleRecord &R : Records) {
+    EXPECT_EQ(R.HeapBytes, Opts.HeapBytes);
+    EXPECT_LE(R.LiveBytesAfter, R.HeapBytes);
   }
+
+  // Once the run is quiescent every packet sits in some sub-pool.
+  PacketPoolOccupancy Occ = Heap->core().Pool.occupancy();
+  EXPECT_EQ(Occ.Empty + Occ.NonEmpty + Occ.AlmostFull + Occ.Deferred,
+            Opts.NumWorkPackets);
 }
 
 TEST(ObserveIntegrationTest, ObserveOffProducesNoEventsOrRings) {
@@ -174,7 +174,37 @@ TEST(ObserveIntegrationTest, ObserveOffProducesNoEventsOrRings) {
   EXPECT_EQ(Obs.ringCount(), 0u);
   EXPECT_TRUE(Obs.drainAll().empty());
   EXPECT_EQ(Obs.metrics().histogram(PauseMetric::TotalPause).count(), 0u);
-  EXPECT_TRUE(Obs.metrics().cycleGauges().empty());
+}
+
+TEST(ObserveIntegrationTest, DerivedGaugesWithoutObserve) {
+  GcOptions Opts = observedOptions();
+  Opts.Observe = false;
+  auto Heap = GcHeap::create(Opts);
+
+  GraphChurnConfig Config;
+  Config.Threads = 2;
+  Config.DurationMs = 200;
+  // Churn until a concurrent cycle completes with allocation in its
+  // concurrent window, where K is defined (slow sanitizer builds need
+  // several rounds), bounded so a collector that never runs one fails.
+  std::vector<CycleRecord> Records;
+  auto AnyConcurrent = [&] {
+    return std::any_of(Records.begin(), Records.end(),
+                       [](const CycleRecord &R) {
+                         return R.Concurrent && R.BytesAllocatedConcurrent;
+                       });
+  };
+  for (int Round = 0; Round < 50 && !AnyConcurrent(); ++Round) {
+    GraphChurnWorkload Workload(*Heap, Config);
+    EXPECT_FALSE(Workload.run().IntegrityFailure);
+    Records = Heap->stats().snapshot();
+  }
+  ASSERT_TRUE(AnyConcurrent())
+      << "the churn must complete a concurrent cycle that allocated";
+  GcAggregates Agg = GcAggregates::compute(Records);
+  EXPECT_GT(Agg.KActualMean, 0.0);
+  EXPECT_GE(Agg.FloatingGarbageRatio, 0.0);
+  EXPECT_LE(Agg.FloatingGarbageRatio, 1.0);
 }
 
 /// A fixed, single-threaded allocation sequence whose GC behavior is

@@ -1,6 +1,6 @@
 //===- stealing_marker_test.cpp - traditional balancer ablation unit ----------//
 
-#include "gc/StealingMarker.h"
+#include "bench/StealingMarker.h"
 
 #include "gc/WorkerPool.h"
 #include "support/Random.h"

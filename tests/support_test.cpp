@@ -27,17 +27,6 @@ TEST(FencesTest, CountersPerSite) {
   EXPECT_EQ(fenceCounters().count(FenceSite::PacketPublish), 1u);
   EXPECT_EQ(fenceCounters().count(FenceSite::TracerBatch), 0u);
   EXPECT_EQ(fenceCounters().totalRealFences(), 3u);
-  EXPECT_EQ(fenceCounters().totalNaiveFences(), 0u);
-}
-
-TEST(FencesTest, NaiveSitesSeparated) {
-  fenceCounters().reset();
-  recordNaiveFence(FenceSite::NaivePerWriteBarrier);
-  recordNaiveFence(FenceSite::NaivePerObjectAlloc);
-  EXPECT_EQ(fenceCounters().totalRealFences(), 0u);
-  EXPECT_EQ(fenceCounters().totalNaiveFences(), 2u);
-  fenceCounters().reset();
-  EXPECT_EQ(fenceCounters().totalNaiveFences(), 0u);
 }
 
 TEST(FencesTest, SiteNamesAreUnique) {
