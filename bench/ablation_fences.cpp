@@ -5,20 +5,19 @@
 /// the paper's design needs one per allocation-cache flush, one per
 /// published packet, one per tracer batch, and a handful for card-table
 /// handshakes. This harness runs the warehouse workload, reads the
-/// batched design's fence counters, derives the naive scheme's counts
+/// batched design's fence counters, takes the naive scheme's counts
 /// from the same run, and reports both per MB allocated — reproducing
 /// the "significantly fewer fences" claim quantitatively.
 ///
-/// The naive counts are derived here rather than counted on the hot
-/// paths:
-///   - per allocation and per write barrier: completed transactions
-///     times the warehouse's per-transaction shape (one order, one line
-///     array and LinesPerOrder lines allocated, LinesPerOrder + 1
-///     reference stores, plus one more line and one more store with
-///     OldMutationProbability, less the stores a rewire skips while the
-///     thread's ring of retained trees is still filling);
-///   - per object traced: each cycle's BytesTracedConcurrent +
-///     BytesTracedFinal divided by the shape's mean object size.
+/// The naive allocation and write-barrier counts are derived here rather
+/// than counted on the hot paths: completed transactions times the
+/// warehouse's per-transaction shape (one order, one line array and
+/// LinesPerOrder lines allocated, LinesPerOrder + 1 reference stores,
+/// plus one more line and one more store with OldMutationProbability,
+/// less the stores a rewire skips while the thread's ring of retained
+/// trees is still filling). The naive per-object-trace count is each
+/// cycle's CycleRecord::ObjectsTraced, which the tracer counts once per
+/// packet batch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,19 +40,12 @@ int main() {
   double Rewire = Config.OldMutationProbability;
   double AllocsPerTx = 2.0 + Config.LinesPerOrder + Rewire;
   double StoresPerTx = 1.0 + Config.LinesPerOrder + Rewire;
-  double LineBytes =
-      static_cast<double>(Object::requiredSize(Config.LinePayloadBytes, 1));
-  double MeanObjectBytes =
-      (static_cast<double>(Config.treeBytes()) + Rewire * LineBytes) /
-      AllocsPerTx;
-  std::printf("naive counts are derived, not counted:\n"
+  std::printf("naive alloc and barrier counts are derived, not counted:\n"
               "  per-object-alloc    = transactions x %.2f allocations\n"
               "  per-write-barrier   = transactions x %.2f reference stores,\n"
               "                        less rewires that find an empty ring "
-              "slot\n"
-              "  per-object-trace    = bytes traced per cycle / %.1f-byte "
-              "mean object\n\n",
-              AllocsPerTx, StoresPerTx, MeanObjectBytes);
+              "slot\n\n",
+              AllocsPerTx, StoresPerTx);
 
   fenceCounters().reset();
   RunOutcome Run = runWarehouse(Cgc, Config);
@@ -62,10 +54,9 @@ int main() {
   double AllocMb =
       static_cast<double>(Run.Workload.BytesAllocated) / (1 << 20);
   double Tx = static_cast<double>(Run.Workload.Transactions);
-  double TracedBytes = 0;
+  double NaiveTraces = 0; // One fence per object scanned.
   for (const CycleRecord &R : Run.Cycles)
-    TracedBytes +=
-        static_cast<double>(R.BytesTracedConcurrent + R.BytesTracedFinal);
+    NaiveTraces += static_cast<double>(R.ObjectsTraced);
   // Until a thread's ring of retained trees fills, a rewire can pick an
   // empty slot and skip its store: at a thread's transaction I < Ring
   // the slot is empty with probability (Ring - 1 - I) / Ring.
@@ -76,7 +67,6 @@ int main() {
                          (Warm * (Ring - 1) - Warm * (Warm - 1) / 2) / Ring;
   double NaiveAllocs = Tx * AllocsPerTx;
   double NaiveStores = Tx * StoresPerTx - SkippedStores;
-  double NaiveTraces = TracedBytes / MeanObjectBytes;
   double NaiveTotal = NaiveAllocs + NaiveStores + NaiveTraces;
   double RealTotal = static_cast<double>(Counters.totalRealFences());
 
@@ -92,7 +82,7 @@ int main() {
   row("TOTAL (batched design)", RealTotal);
   row("naive-per-object-alloc (derived)", NaiveAllocs);
   row("naive-per-write-barrier (derived)", NaiveStores);
-  row("naive-per-object-trace (derived)", NaiveTraces);
+  row("naive-per-object-trace (counted)", NaiveTraces);
   row("TOTAL (naive design)", NaiveTotal);
   Table.print();
 

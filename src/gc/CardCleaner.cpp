@@ -132,30 +132,32 @@ size_t CardCleaner::beginFinalPass() {
 }
 
 size_t CardCleaner::cleanSome(TraceContext &Ctx, size_t MaxCards) {
-  size_t Done = 0;
   bool Final = FinalMode.load(std::memory_order_relaxed);
   // Concurrent passes only: the final pass loops until the card set is
   // drained, so an always-failing site here would loop forever.
   if (!Final && FI && FI->shouldFail(FaultSite::CardCleanStep))
     return 0; // Cleaner yields early; registered cards remain claimable.
-  while (Done < MaxCards) {
-    // Bounded CAS claim: NextIndex must never pass RegisteredCount.
-    // An unconditional fetch_add would let cleaners invoked while no
-    // pass is active (or during registration, while the count is still
-    // zero) burn indices, permanently skipping cards whose dirty flags
-    // the registration already cleared.
-    size_t Count = RegisteredCount.load(std::memory_order_acquire);
-    std::optional<size_t> I = atomicClaimBelow(NextIndex, Count);
-    if (!I)
-      break;
-    cleanCard(Ctx, Registered[*I]);
-    Cleaned.fetch_add(1, std::memory_order_release);
-    if (Final)
-      CleanedFinal.fetch_add(1, std::memory_order_relaxed);
-    else
-      CleanedConcurrent.fetch_add(1, std::memory_order_relaxed);
-    ++Done;
-  }
+  // One bounded CAS claims the whole run: NextIndex must never pass
+  // RegisteredCount. An unconditional fetch_add would let cleaners
+  // invoked while no pass is active (or during registration, while the
+  // count is still zero) burn indices, permanently skipping cards whose
+  // dirty flags the registration already cleared.
+  size_t Count = RegisteredCount.load(std::memory_order_acquire);
+  std::optional<std::pair<size_t, size_t>> Run =
+      atomicClaimRangeBelow(NextIndex, Count, MaxCards);
+  if (!Run)
+    return 0;
+  for (size_t I = Run->first; I < Run->second; ++I)
+    cleanCard(Ctx, Registered[I]);
+  // Counted once the whole run is cleaned, so currentPassDrained() (and
+  // with it concurrentCleaningComplete()) never reports a card still
+  // being cleaned.
+  size_t Done = Run->second - Run->first;
+  Cleaned.fetch_add(Done, std::memory_order_release);
+  if (Final)
+    CleanedFinal.fetch_add(Done, std::memory_order_relaxed);
+  else
+    CleanedConcurrent.fetch_add(Done, std::memory_order_relaxed);
   if (Done)
     CGC_OBS_EVENT_P(Obs, CardCleanSlice, Done, registeredNotCleaned());
   return Done;

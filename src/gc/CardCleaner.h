@@ -83,9 +83,10 @@ public:
   /// Returns the number of cards registered.
   size_t beginFinalPass();
 
-  /// Claims and cleans up to \p MaxCards registered cards, pushing their
-  /// marked objects through \p Ctx. Returns cards cleaned (0 = pass
-  /// drained or none active).
+  /// Claims up to \p MaxCards consecutive registered cards with one CAS
+  /// and cleans them, pushing their marked objects through \p Ctx; the
+  /// cleaned counters are bumped once for the run, after its last card.
+  /// Returns cards cleaned (0 = pass drained or none active).
   size_t cleanSome(TraceContext &Ctx, size_t MaxCards);
 
   /// Whether every registered card of the current pass has been cleaned.

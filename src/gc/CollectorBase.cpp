@@ -98,9 +98,11 @@ void CollectorBase::parallelFinalMark(CycleRecord &Record) {
     drainAllPackets();
     Record.FinalMarkMs += MarkTimer.elapsedMillis();
 
-    // Marking or cleaning overflows re-dirty cards; loop until none
-    // remain (rare — requires packet-pool exhaustion).
-    if (Registered == 0 && C.Heap.cards().countDirty() == 0)
+    // The pass cleaned every registered card, including the leftovers
+    // of an interrupted concurrent pass, so only marking or cleaning
+    // overflows can have left work: they re-dirty cards. Loop until
+    // none remain (rare — requires packet-pool exhaustion).
+    if (C.Heap.cards().countDirty() == 0)
       break;
   }
   assert(C.Pool.allPacketsEmptyAndIdle() && "packets left after final mark");
@@ -140,6 +142,7 @@ void CollectorBase::runFullStwCycle(MutatorContext *Ctx) {
   // concurrent finish.
   parallelFinalMark(Record);
   Record.BytesTracedFinal = C.Trace.cycleTracedBytes();
+  Record.ObjectsTraced = C.Trace.cycleTracedObjects();
 
   sweepWorld(Record);
   Record.PauseMs = Pause.elapsedMillis();

@@ -309,6 +309,7 @@ void ConcurrentCollector::finishCycle(MutatorContext *Ctx,
   parallelFinalMark(Record);
   Record.BytesTracedFinal =
       C.Trace.cycleTracedBytes() - Record.BytesTracedConcurrent;
+  Record.ObjectsTraced = C.Trace.cycleTracedObjects();
 
   sweepWorld(Record);
   Record.PauseMs = Pause.elapsedMillis();

@@ -92,6 +92,8 @@ struct CycleRecord {
   uint64_t BytesTracedConcurrent = 0;
   uint64_t BytesTracedFinal = 0;
   uint64_t BytesTracedByBackground = 0;
+  /// Objects scanned over the whole cycle (concurrent + final).
+  uint64_t ObjectsTraced = 0;
 
   /// Allocation volumes in the two windows (bytes).
   uint64_t BytesAllocatedPreConcurrent = 0;

@@ -12,8 +12,14 @@
 
 using namespace cgc;
 
+/// How many packet entries ahead of the scan the header prefetch runs
+/// (the sweep's PrefetchDistance): far enough to cover a cache miss,
+/// near enough that the line is still cached when the scan reads it.
+static constexpr uint32_t PrefetchDistance = 8;
+
 void Tracer::beginCycle() {
   TracedBytes.store(0, std::memory_order_relaxed);
+  TracedObjects.store(0, std::memory_order_relaxed);
   Overflows.store(0, std::memory_order_relaxed);
   Deferred.store(0, std::memory_order_relaxed);
 }
@@ -22,18 +28,22 @@ void Tracer::markAndQueue(TraceContext &Ctx, Object *Obj) {
   assert(Heap.contains(Obj) && "marking an object outside the heap");
   if (!Heap.markBits().testAndSet(Obj))
     return; // Already marked (another participant owns scanning it).
-  if (Ctx.pushWork(Obj) == PushResult::Ok)
-    return;
+  if (Ctx.pushWork(Obj) != PushResult::Ok)
+    overflow(Obj);
+}
+
+void Tracer::overflow(Object *Obj) {
   // Overflow treatment (Section 4.3): the object stays marked; dirty its
   // card so card cleaning retraces it later.
   Heap.cards().dirty(Obj);
   uint64_t Total = Overflows.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Size 0: queueing never reads the object (its header may not be
-  // visible yet under the Section 5.2 protocol).
+  // Size 0: the object's header may not be visible yet under the
+  // Section 5.2 protocol, so it must not be read here.
   CGC_OBS_EVENT_P(Obs, Overflow, 0, Total);
 }
 
-size_t Tracer::scanObject(TraceContext &Ctx, Object *Obj) {
+size_t Tracer::scanObject(TraceContext &Ctx, Object *Obj,
+                          const uint8_t *EvacLo, const uint8_t *EvacHi) {
   unsigned NumRefs = Obj->numRefs();
   for (unsigned I = 0; I < NumRefs; ++I) {
     Object *Child = Obj->loadRef(I);
@@ -54,13 +64,12 @@ size_t Tracer::scanObject(TraceContext &Ctx, Object *Obj) {
 #endif
     // Incremental compaction (Section 2.3): track every reference into
     // the evacuation area, during both concurrent and STW marking.
-    if (Compact && Compact->inEvacArea(Child))
+    const uint8_t *P = reinterpret_cast<const uint8_t *>(Child);
+    if (P >= EvacLo && P < EvacHi)
       Compact->recordSlot(Obj, I);
     markAndQueue(Ctx, Child);
   }
-  size_t Size = Obj->sizeBytes();
-  TracedBytes.fetch_add(Size, std::memory_order_relaxed);
-  return Size;
+  return Obj->sizeBytes();
 }
 
 size_t Tracer::traceWork(TraceContext &Ctx, size_t BudgetBytes,
@@ -69,6 +78,13 @@ size_t Tracer::traceWork(TraceContext &Ctx, size_t BudgetBytes,
   // Safety classification of the current input packet's entries
   // (indices match the packet's LIFO positions).
   std::bitset<WorkPacket::Capacity> Safe;
+  // The evacuation bounds, read once per call: initializeCycle arms the
+  // area before any marking starts and the pause disarms it after
+  // evacuating, so no traceWork call spans an arm or a disarm. Both are
+  // null while disarmed (or without a compactor), and no child passes
+  // P >= nullptr && P < nullptr.
+  const auto [EvacLo, EvacHi] =
+      Compact ? Compact->area() : std::pair<uint8_t *, uint8_t *>();
 
   while (Done < BudgetBytes) {
     if (AbortOnStopRequest && Registry.stopRequested())
@@ -95,6 +111,18 @@ size_t Tracer::traceWork(TraceContext &Ctx, size_t BudgetBytes,
         Safe[I] = Heap.allocBits().testAcquire(In->peek(I));
       fence(FenceSite::TracerBatch);
     }
+    // The packet is pop-only and LIFO, so the entry scanned D pops from
+    // now is peek(Index - D): prime the top D headers, then keep each
+    // pop's prefetch exactly D entries below it. Prefetching a header
+    // whose allocation bit is unpublished is harmless (it is not a read;
+    // the classification above still decides whether it is scanned).
+    for (uint32_t I = 1; I <= PrefetchDistance && I <= N; ++I)
+      __builtin_prefetch(In->peek(N - I));
+    // Counted locally and added to the shared counters once per batch:
+    // participants synchronize once per packet, not once per object.
+    size_t BatchStart = Done;
+    uint64_t BatchObjects = 0;
+    uint64_t BatchDeferred = 0;
     // Consume this batch (budget permitting). scanObject can trigger the
     // swap exception, which changes which packet is the input; the
     // classification is only valid for the packet it was taken on, so
@@ -102,6 +130,8 @@ size_t Tracer::traceWork(TraceContext &Ctx, size_t BudgetBytes,
     while (Ctx.input() == In && !In->empty() && In->count() <= N &&
            Done < BudgetBytes) {
       uint32_t Index = In->count() - 1;
+      if (Index >= PrefetchDistance)
+        __builtin_prefetch(In->peek(Index - PrefetchDistance));
       Object *Obj = In->pop();
 #ifndef NDEBUG
       // With the world stopped every cache is flushed: a queued object
@@ -135,21 +165,27 @@ size_t Tracer::traceWork(TraceContext &Ctx, size_t BudgetBytes,
       if (CheckAllocBits && !Safe[Index]) {
         // Allocation bit not visible: the object's initializing stores
         // may not be either. Defer it (Section 5.2 step 4).
-        Deferred.fetch_add(1, std::memory_order_relaxed);
-        if (!Ctx.pushDeferred(Obj)) {
-          // No empty packet for the deferred side: fall back to the
-          // overflow treatment; the object is already marked, so a dirty
-          // card gets it retraced once its bits are published.
-          Heap.cards().dirty(Obj);
-          uint64_t Total = Overflows.fetch_add(1, std::memory_order_relaxed) + 1;
-          // Size 0: the object's header may not be visible yet (that is
-          // why it was deferred), so it must not be read here.
-          CGC_OBS_EVENT_P(Obs, Overflow, 0, Total);
-        }
+        ++BatchDeferred;
+        // No empty packet for the deferred side: fall back to the
+        // overflow treatment; the object is already marked, so a dirty
+        // card gets it retraced once its bits are published.
+        if (!Ctx.pushDeferred(Obj))
+          overflow(Obj);
         continue;
       }
-      Done += scanObject(Ctx, Obj);
+      Done += scanObject(Ctx, Obj, EvacLo, EvacHi);
+      ++BatchObjects;
     }
+    // Every exit from the batch (budget reached, swap exception, packet
+    // drained) passes here, and the outer loop's exits (stop request,
+    // injected TracerStep, no input) sit between batches, so nothing
+    // counted is pending when traceWork returns.
+    if (Done != BatchStart)
+      TracedBytes.fetch_add(Done - BatchStart, std::memory_order_relaxed);
+    if (BatchObjects != 0)
+      TracedObjects.fetch_add(BatchObjects, std::memory_order_relaxed);
+    if (BatchDeferred != 0)
+      Deferred.fetch_add(BatchDeferred, std::memory_order_relaxed);
   }
   return Done;
 }

@@ -70,17 +70,23 @@ public:
   /// \p AbortOnStopRequest makes the loop return early when a
   /// stop-the-world has been requested (mutator increments must not
   /// delay the pause; STW workers pass false).
-  /// Returns the number of object bytes scanned.
+  /// Returns the number of object bytes scanned. The shared traced-bytes,
+  /// traced-objects and deferred counters are added to once per input
+  /// packet batch, and nothing is left unadded on return.
   size_t traceWork(TraceContext &Ctx, size_t BudgetBytes, bool CheckAllocBits,
                    bool AbortOnStopRequest);
 
-  /// Scans one object's reference slots, marking and queueing children.
-  /// Returns the object's size in bytes (the unit of tracing work).
-  size_t scanObject(TraceContext &Ctx, Object *Obj);
-
   /// Total bytes traced since beginCycle (the progress formula's T).
+  /// While tracing runs it lags by at most one batch per participant
+  /// inside traceWork; once every call has returned it is exact.
   uint64_t cycleTracedBytes() const {
     return TracedBytes.load(std::memory_order_relaxed);
+  }
+
+  /// Objects scanned since beginCycle (auxiliary work credited through
+  /// addTracedBytes counts no objects). Same lag as cycleTracedBytes.
+  uint64_t cycleTracedObjects() const {
+    return TracedObjects.load(std::memory_order_relaxed);
   }
 
   /// Adds externally performed tracing work to the cycle total.
@@ -96,6 +102,16 @@ public:
   }
 
 private:
+  /// Scans one object's reference slots, marking and queueing children
+  /// and recording every slot that points into [EvacLo, EvacHi).
+  /// Returns the object's size in bytes (the unit of tracing work).
+  size_t scanObject(TraceContext &Ctx, Object *Obj, const uint8_t *EvacLo,
+                    const uint8_t *EvacHi);
+
+  /// Overflow treatment (Section 4.3) for a marked object no packet
+  /// could take: dirties its card so card cleaning retraces it.
+  void overflow(Object *Obj);
+
   HeapSpace &Heap;
   PacketPool &Pool;
   ThreadRegistry &Registry;
@@ -103,11 +119,12 @@ private:
   FaultInjector *FI;
   GcObserver *Obs;
 
-  // TracedBytes is added to per traced object by every tracing thread;
-  // the pads keep the counters off the lines of the read-mostly fields
-  // above and of whatever follows the tracer.
+  // Every tracing thread adds to these once per batch; the pads keep the
+  // counters off the lines of the read-mostly fields above and of
+  // whatever follows the tracer.
   char ReadMostlyPad[CacheLineBytes];
   std::atomic<uint64_t> TracedBytes{0};
+  std::atomic<uint64_t> TracedObjects{0};
   std::atomic<uint64_t> Overflows{0};
   std::atomic<uint64_t> Deferred{0};
   char TrailingPad[CacheLineBytes];

@@ -76,20 +76,23 @@ void atomicStoreMax(std::atomic<T> &Atom, T Candidate,
   }
 }
 
-/// Claims and returns the next ticket below \p Limit, or `std::nullopt`
-/// once the counter has reached it. The bounded claim used by the card
-/// cleaner to parcel out registered cards to concurrent cleaners.
+/// Claims up to \p MaxCount consecutive tickets below \p Limit with one
+/// successful exchange and returns them as [first, second), or
+/// `std::nullopt` once the counter has reached \p Limit. The counter
+/// never passes \p Limit. The bounded claim used by the card cleaner to
+/// parcel out runs of registered cards to concurrent cleaners.
 template <class T>
-std::optional<T> atomicClaimBelow(std::atomic<T> &Next, T Limit,
-                                  std::memory_order Order =
-                                      std::memory_order_relaxed) {
-  T Ticket = Next.load(Order); // cgc-lint: allow(R1) caller-supplied order
+std::optional<std::pair<T, T>>
+atomicClaimRangeBelow(std::atomic<T> &Next, T Limit, T MaxCount,
+                      std::memory_order Order = std::memory_order_relaxed) {
+  T Begin = Next.load(Order); // cgc-lint: allow(R1) caller-supplied order
   for (;;) {
-    if (Ticket >= Limit)
+    if (Begin >= Limit)
       return std::nullopt;
+    T End = Limit - Begin > MaxCount ? Begin + MaxCount : Limit;
     // cgc-lint: allow(R1) caller-supplied order
-    if (Next.compare_exchange_weak(Ticket, Ticket + 1, Order, Order))
-      return Ticket;
+    if (Next.compare_exchange_weak(Begin, End, Order, Order))
+      return std::pair<T, T>(Begin, End);
   }
 }
 

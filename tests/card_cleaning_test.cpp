@@ -3,9 +3,15 @@
 #include "gc/CardCleaner.h"
 
 #include "gc/GcCore.h"
+#include "support/Atomics.h"
 #include "support/Fences.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <map>
+#include <thread>
+#include <vector>
 
 using namespace cgc;
 
@@ -199,6 +205,65 @@ TEST_F(CardCleaningTest, TotalRegisteredAccumulates) {
   while (Ctx.popWork())
     ;
   Ctx.release();
+}
+
+TEST(AtomicClaimRangeTest, RunsNeverPassTheLimit) {
+  std::atomic<size_t> Next{0};
+  using Run = std::pair<size_t, size_t>;
+  EXPECT_EQ(atomicClaimRangeBelow(Next, size_t{10}, size_t{4}), Run(0, 4));
+  EXPECT_EQ(atomicClaimRangeBelow(Next, size_t{10}, size_t{4}), Run(4, 8));
+  EXPECT_EQ(atomicClaimRangeBelow(Next, size_t{10}, size_t{4}), Run(8, 10));
+  EXPECT_FALSE(atomicClaimRangeBelow(Next, size_t{10}, size_t{4}));
+  EXPECT_EQ(Next.load(), 10u);
+  // A limit below the counter (no pass active) claims nothing.
+  EXPECT_FALSE(atomicClaimRangeBelow(Next, size_t{0}, size_t{4}));
+  EXPECT_EQ(Next.load(), 10u);
+}
+
+TEST_F(CardCleaningTest, ConcurrentRunClaimsCleanEveryCardOnce) {
+  // One marked object per card; four cleaners claim runs of 7 cards
+  // (not a divisor of the card count, so the last run is cut short).
+  constexpr size_t NumCards = 200;
+  std::vector<Object *> Planted;
+  for (size_t I = 0; I < NumCards; ++I) {
+    Object *Obj = plantMarked(I * CardTable::CardBytes, 64);
+    Core->Heap.cards().dirty(Obj);
+    Planted.push_back(Obj);
+  }
+  Core->Cleaner.beginCycle(1);
+  ASSERT_TRUE(Core->Cleaner.tryBeginConcurrentPass(nullptr));
+
+  std::atomic<size_t> CleanedSum{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < 4; ++T)
+    Threads.emplace_back([&] {
+      TraceContext Ctx(Core->Pool);
+      size_t Mine = 0;
+      while (size_t Cards = Core->Cleaner.cleanSome(Ctx, 7)) {
+        EXPECT_LE(Cards, 7u);
+        Mine += Cards;
+      }
+      Ctx.release(); // Publishes the pushed objects to the pool.
+      CleanedSum.fetch_add(Mine, std::memory_order_relaxed);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  EXPECT_EQ(CleanedSum.load(std::memory_order_relaxed), NumCards);
+  EXPECT_EQ(Core->Cleaner.cleanedConcurrent(), NumCards);
+  EXPECT_EQ(Core->Cleaner.registeredNotCleaned(), 0u);
+  EXPECT_TRUE(Core->Cleaner.concurrentCleaningComplete());
+  TraceContext Ctx(Core->Pool);
+  // A drained pass hands out no more claims.
+  EXPECT_EQ(Core->Cleaner.cleanSome(Ctx, 7), 0u);
+  EXPECT_EQ(Core->Cleaner.registeredNotCleaned(), 0u);
+  std::map<Object *, int> Seen;
+  while (Object *Obj = Ctx.popWork())
+    ++Seen[Obj];
+  Ctx.release();
+  ASSERT_EQ(Seen.size(), NumCards) << "a card was skipped";
+  for (Object *Obj : Planted)
+    EXPECT_EQ(Seen[Obj], 1) << "card cleaned more than once";
 }
 
 } // namespace

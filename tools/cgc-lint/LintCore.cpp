@@ -232,7 +232,7 @@ void checkR3(RuleContext &C) {
         C.report("R3", Tok,
                  "hand-rolled " + Tok.Text +
                      " retry loop: use atomicCasLoop/atomicStoreMax/"
-                     "atomicClaimBelow from support/Atomics.h");
+                     "atomicClaimRangeBelow from support/Atomics.h");
       continue;
     }
     if (Tok.Kind != Token::Punct)

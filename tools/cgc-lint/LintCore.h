@@ -12,7 +12,7 @@
 ///       only at the documented (file, site) pairs. A fence in the
 ///       write barrier or card-table fast path is a build error.
 ///   R3  no hand-rolled compare_exchange retry loops outside support/
-///       (use atomicCasLoop / atomicStoreMax / atomicClaimBelow).
+///       (use atomicCasLoop / atomicStoreMax / atomicClaimRangeBelow).
 ///   R4  concurrency documentation: every std::atomic member in the
 ///       core component headers carries CGC_ATOMIC_DOC or
 ///       CGC_GUARDED_BY, and std::lock_guard<SpinLock> is banned
